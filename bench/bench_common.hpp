@@ -6,6 +6,8 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -136,12 +138,27 @@ inline std::string artifact_slug(const std::string& label) {
   return out;
 }
 
+/// Create the directory an output flag names (with its parents), so a run
+/// that has already done its work can write there; exit with a message
+/// naming the flag when that is impossible.
+inline void make_output_dir(const std::string& dir, const char* flag) {
+  if (dir.empty()) return;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::cerr << "--" << flag << "=" << dir << ": cannot create the directory: "
+              << ec.message() << "\n";
+    std::exit(2);
+  }
+}
+
 /// Shared `--trace` / `--trace-dir <dir>` handling for the table harnesses.
 /// With `--trace`, each harness runs one extra *traced* pass over a
 /// representative configuration and prints the per-phase modeled-time
-/// breakdown (rollup only — no span storage). With `--trace-dir`, the
+/// breakdown (rollup only — no span storage), then the host wall seconds of
+/// each phase beside its modeled seconds. With `--trace-dir`, the
 /// traced pass additionally records spans and writes a Chrome trace_event
-/// JSON per run into the directory (which must exist). The measurement
+/// JSON per run into the directory (created if missing). The measurement
 /// sweeps themselves always run untraced, so reported totals are identical
 /// with and without these flags.
 class TraceReporter {
@@ -149,6 +166,7 @@ class TraceReporter {
   TraceReporter(const Cli& cli, std::string prefix)
       : prefix_(std::move(prefix)), dir_(cli.get_string("trace-dir", "")) {
     enabled_ = cli.get_bool("trace", false) || !dir_.empty();
+    make_output_dir(dir_, "trace-dir");
   }
 
   bool enabled() const { return enabled_; }
@@ -175,6 +193,8 @@ class TraceReporter {
               << format_sci(modeled, 6) << " s — "
               << (rel <= 0.01 ? "OK" : "MISMATCH") << " (rel err "
               << format_sci(rel, 2) << ")\n";
+    std::cout << "\nPer-phase host wall time vs modeled — " << label << ":\n";
+    trace_->write_wall_table(std::cout);
     if (!dir_.empty()) {
       const std::string path =
           dir_ + "/" + prefix_ + "_" + artifact_slug(label) + ".trace.json";
@@ -196,13 +216,14 @@ class TraceReporter {
 /// rerun collects sim::Metrics and prints the critical-path/straggler
 /// breakdown; with `--report-dir`, it additionally writes the versioned
 /// `ptilu-report-v2` JSON (validated by scripts/check_report.py) into the
-/// directory (which must exist). Like tracing, only the observed rerun is
+/// directory (created if missing). Like tracing, only the observed rerun is
 /// instrumented — the measurement sweeps are unaffected.
 class ReportWriter {
  public:
   ReportWriter(const Cli& cli, std::string prefix)
       : prefix_(std::move(prefix)), dir_(cli.get_string("report-dir", "")) {
     enabled_ = cli.get_bool("report", false) || !dir_.empty();
+    make_output_dir(dir_, "report-dir");
   }
 
   bool enabled() const { return enabled_; }

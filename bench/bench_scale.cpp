@@ -369,6 +369,7 @@ int main(int argc, char** argv) {
   const int gmres_iters = static_cast<int>(cli.get_int("gmres-iters", smoke ? 3 : 10));
   const std::string json_path = cli.get_string("json", "");
   const std::string report_dir = cli.get_string("report-dir", "");
+  bench::make_output_dir(report_dir, "report-dir");
   const bool exact = cli.get_bool("exact", false);
   const sim::Machine::Options machine_opts = bench::machine_options_from_cli(cli);
   cli.check_all_consumed();

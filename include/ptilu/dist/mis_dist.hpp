@@ -12,7 +12,9 @@
 // rank, which yields the same conflict-freedom the paper obtains with its
 // two-step insert-then-retract modification for unsymmetric structures;
 // the adjacency handed in must already be symmetrized (the PILUT driver
-// performs that exchange — the paper's "communication setup phase").
+// performs that exchange — the paper's "communication setup phase") and
+// carry its remote-peer index, so mis_dist's own setup superstep only
+// charges for the scan the paper's algorithm makes.
 #pragma once
 
 #include <cstdint>
@@ -23,13 +25,80 @@
 
 namespace ptilu {
 
-/// A distributed graph over a subset of a global id space.
+/// A distributed graph over a subset of a global id space, one Part per
+/// rank. Part r owns the ascending vertex list `verts`; the neighbor
+/// sequence of verts[i] is the concatenation of its kSegments index ranges
+/// seg[i * kSegments + s] (walk() yields it). Only range 1 may hold
+/// verts[i] itself, which the walk skips: the PILUT driver points it at the
+/// row's tail, diagonal included. The sequence must be symmetric — u appears for v
+/// iff v appears for u — and may repeat a neighbor. A plain adjacency
+/// fills one range per vertex (from_adjacency); the PILUT driver points the
+/// ranges into its persistent reduced graph, so no level copies neighbor
+/// lists (see src/pilut/reduced_graph.hpp).
+///
+/// Each part also carries what mis_dist would otherwise rescan for: the
+/// total sequence length `entries` (the setup superstep's memory charge),
+/// the ascending list `nbrs` of the other ranks owning a neighbor of any
+/// of its vertices, and per vertex the slots into `nbrs` of the ranks
+/// owning one of its neighbors (CSR `peer_ptr` / `peer_slot`, each rank
+/// once, in any order).
 struct DistGraph {
-  idx n_global = 0;                       ///< size of the global id space
-  const IdxVec* owner = nullptr;          ///< global id -> owning rank
-  std::vector<IdxVec> verts_of;           ///< rank -> owned active vertices (ascending)
-  std::vector<std::vector<IdxVec>> adj;   ///< [rank][i] -> neighbors of verts_of[rank][i]
-                                          ///< (global ids, symmetrized, active only)
+  static constexpr int kSegments = 4;
+  struct Range {
+    const idx* begin = nullptr;
+    const idx* end = nullptr;
+  };
+  struct Part {
+    IdxVec verts;
+    std::vector<Range> seg;      ///< [i * kSegments + s]
+    std::uint64_t entries = 0;   ///< sum of the neighbor-sequence lengths
+    std::vector<int> nbrs;       ///< ascending ranks owning some neighbor
+    IdxVec peer_ptr;             ///< vertex i's peers: peer_slot[peer_ptr[i], peer_ptr[i+1])
+    std::vector<int> peer_slot;  ///< slots into nbrs
+    IdxVec storage;              ///< neighbor lists of a from_adjacency graph
+
+    /// Call visit(u) for each neighbor u of verts[i] in sequence order until
+    /// it returns true; returns whether it did.
+    template <typename Visit>
+    bool walk(std::size_t i, Visit&& visit) const {
+      const Range* s = seg.data() + i * kSegments;
+      for (const idx* u = s[0].begin; u != s[0].end; ++u) {
+        if (visit(*u)) return true;
+      }
+      const idx v = verts[i];
+      for (const idx* u = s[1].begin; u != s[1].end; ++u) {
+        if (*u != v && visit(*u)) return true;
+      }
+      for (int k = 2; k < kSegments; ++k) {
+        for (const idx* u = s[k].begin; u != s[k].end; ++u) {
+          if (visit(*u)) return true;
+        }
+      }
+      return false;
+    }
+  };
+
+  idx n_global = 0;               ///< size of the global id space
+  const IdxVec* owner = nullptr;  ///< global id -> owning rank
+  std::vector<Part> parts;
+
+  DistGraph() = default;
+  // Ranges may point into the parts' own storage, which a copy would not
+  // carry along; moving keeps every buffer in place.
+  DistGraph(const DistGraph&) = delete;
+  DistGraph& operator=(const DistGraph&) = delete;
+  DistGraph(DistGraph&&) = default;
+  DistGraph& operator=(DistGraph&&) = default;
+
+  /// A graph whose rank r owns verts_of[r] (ascending) with neighbor lists
+  /// adj[r][i] (global ids, symmetrized; self entries are dropped).
+  static DistGraph from_adjacency(idx n_global, const IdxVec* owner,
+                                  const std::vector<IdxVec>& verts_of,
+                                  const std::vector<std::vector<IdxVec>>& adj);
+
+  /// Fill part r's nbrs / peer_ptr / peer_slot from its ranges.
+  /// `rank_stamp` is zeroed scratch of at least nranks bytes, left zeroed.
+  void index_peers(int r, std::vector<std::uint8_t>& rank_stamp);
 
   idx total_vertices() const;
   idx total_edges_directed() const;
@@ -40,47 +109,40 @@ struct DistMisOptions {
   int rounds = 5;
 };
 
-/// Reusable dense per-rank status arrays. The PILUT driver calls mis_dist
-/// once per reduced-matrix level — hundreds to thousands of times — so the
-/// scratch is allocated once and reset via touched-lists between calls.
-/// Besides the status arrays it pools every per-call buffer whose repeated
-/// construction showed up in wall-clock profiles: the per-neighbor outgoing
-/// update batches, a per-vertex CSR of remote peer ranks (so a status-change
-/// notification walks the handful of peers instead of the full adjacency
-/// list), and a per-round memo of the Luby vertex keys (so a key is hashed
+/// Reusable per-rank working storage. The PILUT driver calls mis_dist once
+/// per reduced-matrix level — hundreds to thousands of times — so it is
+/// allocated once. The statuses are epoch-stamped: a byte holds
+/// (call epoch << 2 | status), and a byte from an earlier call reads as
+/// kCandidate, so a new call starts clean without touching the arrays
+/// (the six epoch bits wrap every 63 calls, when they are cleared once).
+/// Besides the status arrays it pools the per-neighbor outgoing update
+/// batches and a per-round memo of the Luby vertex keys (so a key is hashed
 /// once per round instead of once per incident edge). None of this changes
 /// the modeled machine costs — the same messages and charges are produced.
 ///
 /// Sparse neighbor routing: each rank's outgoing batches are indexed by a
-/// *slot* into its sorted neighbor list `nbrs[rank]` (the ranks owning at
-/// least one neighbor of its vertices), not by peer rank. Total batch
-/// storage is O(sum of neighbor degrees) instead of the former O(p²)
-/// [rank][peer] arrays, and flushing walks each rank's few slots instead of
-/// all p peers per round — the allocations that blocked scaling the
-/// simulated machine to thousands of ranks (ROADMAP item 2). Slots are
-/// sorted by peer rank, so flushing in slot order reproduces the dense
-/// peer scan's ascending send order byte-for-byte.
+/// *slot* into its graph part's sorted neighbor-rank list `nbrs`, not by
+/// peer rank. Total batch storage is O(sum of neighbor degrees) instead of
+/// O(p²) [rank][peer] arrays, and flushing walks each rank's few slots
+/// instead of all p peers per round. Slots are sorted by peer rank, so
+/// flushing in slot order sends in ascending rank order.
 ///
 /// Buffers indexed [lane] are per-execution-lane working storage: one lane
 /// under the sequential backend (shared by the ranks running one after
-/// another — the seed behavior), one per rank under the threaded backend so
-/// concurrent rank bodies never share mutable scratch. The key memo is a
-/// pure cache of vertex_key(seed, v, round), so per-lane memoization yields
-/// identical keys — just computed once per lane instead of once globally.
+/// another), one per rank under the threaded backend so concurrent rank
+/// bodies never share mutable scratch. The key memo is a pure cache of
+/// vertex_key(seed, v, round), so per-lane memoization yields identical
+/// keys — just computed once per lane instead of once globally.
 struct DistMisScratch {
-  std::vector<std::vector<std::uint8_t>> status;  // [rank][global id]
-  std::vector<IdxVec> touched;                    // entries to reset per rank
+  std::vector<std::vector<std::uint8_t>> status;  // [rank][global id] epoch-stamped
+  std::uint32_t call_epoch = 0;
 
   // Pooled per-call working buffers (capacity persists across calls).
-  std::vector<std::vector<int>> nbrs;          // [rank] sorted dedup'd peer ranks
   std::vector<std::vector<IdxVec>> in_batch;   // [rank][slot] queued kIn notices
   std::vector<std::vector<IdxVec>> out_batch;  // [rank][slot] queued kOut notices
-  std::vector<IdxVec> peer_start;  // [rank] CSR offsets: local vertex -> peer slice
-  std::vector<std::vector<int>> peer_list;  // [rank] slots into nbrs[rank], dedup'd
-  std::vector<std::vector<std::uint8_t>> peer_stamp;  // [lane] dedup stamp over ranks
-  std::vector<IdxVec> recv_buf;                       // [lane] message decode scratch
-  std::vector<IdxVec> selected;   // [lane] per-round winners
-  std::vector<long long> cand_lane;  // [lane] candidates-left partial sums
+  std::vector<IdxVec> recv_buf;                // [lane] message decode scratch
+  std::vector<IdxVec> selected;                // [lane] per-round winners
+  std::vector<long long> cand_lane;            // [lane] candidates-left partial sums
 
   // Lazy per-round vertex-key memo (keys are identical on every rank).
   std::vector<std::vector<std::uint64_t>> key;  // [lane][global id] memoized vertex_key

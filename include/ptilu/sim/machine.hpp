@@ -1,8 +1,8 @@
 // Simulated distributed-memory machine.
 //
-// The paper's experiments ran on a 128-processor Cray T3D. This host has a
-// single core and no MPI, so the parallel algorithms in this library run on
-// a deterministic BSP-style simulator instead: every rank executes the same
+// The paper's experiments ran on a 128-processor Cray T3D. The development
+// host has 4 cores and no MPI, so the parallel algorithms in this library
+// run on a deterministic BSP-style simulator instead: every rank executes the same
 // SPMD code against explicit per-rank message queues, and a cost model
 // (per-flop time, per-byte memory-copy time, message latency alpha and
 // per-byte cost beta) accumulates *modeled* time per rank. A superstep

@@ -19,7 +19,10 @@
 //   * a Chrome trace_event JSON export (write_chrome_trace) with one process
 //     track per rank, loadable in Perfetto or chrome://tracing.
 //
-// Everything is deterministic: identical runs produce byte-identical
+// Besides the modeled figures, every phase also accrues the host wall
+// seconds spent inside it (PhaseStats::wall, read through WallTimer at
+// push/pop), printed only by write_wall_table. Everything the other
+// exports contain is deterministic: identical runs produce byte-identical
 // exports. See docs/TRACING.md for the span/phase model, the JSON schema,
 // and a worked example.
 #pragma once
@@ -30,6 +33,8 @@
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "ptilu/support/timer.hpp"
 
 namespace ptilu::sim {
 
@@ -77,6 +82,9 @@ struct PhaseStats {
   std::uint64_t bytes_recv = 0;
   std::uint64_t messages = 0;
   std::uint64_t spans = 0;
+  /// Host wall seconds spent in this phase itself, excluding nested
+  /// phases. Not deterministic, so no export but write_wall_table shows it.
+  double wall = 0.0;
 
   double busy_total() const {
     double total = 0.0;
@@ -142,18 +150,33 @@ class Trace {
   void write_chrome_trace_file(const std::string& path) const;
   /// Plain-text per-phase table (ptilu::Table formatting).
   void write_phase_table(std::ostream& os) const;
+  /// phase_rollup plus the phases that spent host wall time but no
+  /// modeled time (the rows write_wall_table prints).
+  std::vector<PhaseRow> wall_rollup() const;
+  /// Plain-text host wall seconds beside modeled seconds per phase; its
+  /// numbers differ from run to run.
+  void write_wall_table(std::ostream& os) const;
 
   /// Drop all recorded data (phases, spans, rollups) but keep options.
   void clear();
 
  private:
   std::uint32_t intern(std::string path);
+  std::vector<PhaseRow> rows(bool with_wall_only) const;
+
+  /// Wall stamp of one pushed phase: its start and the wall time of the
+  /// nested phases already closed inside it.
+  struct OpenWall {
+    WallTimer timer;
+    double nested = 0.0;
+  };
 
   TraceOptions options_;
   int nranks_ = 0;
   std::vector<std::string> phase_names_;  // id -> full path ("" is the root)
   std::unordered_map<std::string, std::uint32_t> phase_ids_;  // interning only, never iterated
   std::vector<std::uint32_t> phase_stack_;
+  std::vector<OpenWall> wall_stack_;  // one per pushed phase (the root has none)
   std::vector<PhaseStats> stats_;  // indexed by phase id
   std::vector<Span> spans_;
   std::vector<std::size_t> open_span_;  // per rank: candidate for coalescing

@@ -19,39 +19,95 @@ constexpr int kTagOut = 2;
 
 idx DistGraph::total_vertices() const {
   idx total = 0;
-  for (const auto& verts : verts_of) total += static_cast<idx>(verts.size());
+  for (const Part& part : parts) total += static_cast<idx>(part.verts.size());
   return total;
 }
 
 idx DistGraph::total_edges_directed() const {
   idx total = 0;
-  for (const auto& rank_adj : adj) {
-    for (const auto& neighbors : rank_adj) total += static_cast<idx>(neighbors.size());
-  }
+  for (const Part& part : parts) total += static_cast<idx>(part.entries);
   return total;
+}
+
+DistGraph DistGraph::from_adjacency(idx n_global, const IdxVec* owner,
+                                    const std::vector<IdxVec>& verts_of,
+                                    const std::vector<std::vector<IdxVec>>& adj) {
+  PTILU_CHECK(owner != nullptr && verts_of.size() == adj.size(),
+              "DistGraph::from_adjacency needs an owner array and one list per rank");
+  DistGraph graph;
+  graph.n_global = n_global;
+  graph.owner = owner;
+  graph.parts.resize(verts_of.size());
+  std::vector<std::uint8_t> stamp(verts_of.size(), 0);
+  for (std::size_t r = 0; r < verts_of.size(); ++r) {
+    Part& part = graph.parts[r];
+    PTILU_CHECK(adj[r].size() == verts_of[r].size(), "DistGraph adjacency size mismatch");
+    part.verts = verts_of[r];
+    IdxVec ptr(1, 0);
+    for (std::size_t i = 0; i < part.verts.size(); ++i) {
+      for (const idx u : adj[r][i]) {
+        if (u != part.verts[i]) part.storage.push_back(u);
+      }
+      ptr.push_back(static_cast<idx>(part.storage.size()));
+    }
+    part.entries = part.storage.size();
+    part.seg.assign(part.verts.size() * kSegments, Range{});
+    for (std::size_t i = 0; i < part.verts.size(); ++i) {
+      part.seg[i * kSegments] = {part.storage.data() + ptr[i], part.storage.data() + ptr[i + 1]};
+    }
+    graph.index_peers(static_cast<int>(r), stamp);
+  }
+  return graph;
+}
+
+void DistGraph::index_peers(int r, std::vector<std::uint8_t>& rank_stamp) {
+  Part& part = parts[static_cast<std::size_t>(r)];
+  part.peer_ptr.assign(1, 0);
+  part.peer_ptr.reserve(part.verts.size() + 1);
+  part.peer_slot.clear();
+  part.nbrs.clear();
+  // rank_stamp doubles as two dedup marks per rank: bit 0 scopes the
+  // per-vertex peer list, bit 1 the part-wide neighbor list.
+  for (std::size_t i = 0; i < part.verts.size(); ++i) {
+    const std::size_t first = part.peer_slot.size();
+    part.walk(i, [&](idx u) {
+      const int peer = (*owner)[u];
+      if (peer != r && !(rank_stamp[peer] & 1)) {
+        rank_stamp[peer] |= 1;
+        part.peer_slot.push_back(peer);
+        if (!(rank_stamp[peer] & 2)) {
+          rank_stamp[peer] |= 2;
+          part.nbrs.push_back(peer);
+        }
+      }
+      return false;
+    });
+    for (std::size_t p = first; p < part.peer_slot.size(); ++p) {
+      rank_stamp[part.peer_slot[p]] &= static_cast<std::uint8_t>(~1);
+    }
+    part.peer_ptr.push_back(static_cast<idx>(part.peer_slot.size()));
+  }
+  // Remap the per-vertex lists from rank ids to slots into the sorted
+  // neighbor list.
+  std::sort(part.nbrs.begin(), part.nbrs.end());
+  for (const int peer : part.nbrs) rank_stamp[peer] = 0;
+  for (int& entry : part.peer_slot) {
+    entry = static_cast<int>(std::lower_bound(part.nbrs.begin(), part.nbrs.end(), entry) -
+                             part.nbrs.begin());
+  }
 }
 
 void DistMisScratch::ensure(int nranks, int lanes, idx n_global) {
   if (static_cast<int>(status.size()) < nranks) status.resize(nranks);
   for (auto& s : status) {
-    if (static_cast<idx>(s.size()) < n_global) s.assign(n_global, kCandidate);
+    if (static_cast<idx>(s.size()) < n_global) s.assign(n_global, std::uint8_t{0});
   }
-  if (static_cast<int>(touched.size()) < nranks) touched.resize(nranks);
   // Outer vectors only: the per-rank batch vectors are sized by each rank's
   // neighbor degree during setup, so total batch storage stays proportional
-  // to the communication graph — never the former O(nranks²).
+  // to the communication graph — never O(nranks²).
   if (static_cast<int>(in_batch.size()) < nranks) {
-    nbrs.resize(nranks);
     in_batch.resize(nranks);
     out_batch.resize(nranks);
-  }
-  if (static_cast<int>(peer_start.size()) < nranks) {
-    peer_start.resize(nranks);
-    peer_list.resize(nranks);
-  }
-  if (static_cast<int>(peer_stamp.size()) < lanes) peer_stamp.resize(lanes);
-  for (auto& stamp : peer_stamp) {
-    if (static_cast<int>(stamp.size()) < nranks) stamp.assign(nranks, 0);
   }
   if (static_cast<int>(recv_buf.size()) < lanes) recv_buf.resize(lanes);
   if (static_cast<int>(selected.size()) < lanes) selected.resize(lanes);
@@ -72,84 +128,42 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
                 DistMisScratch* scratch) {
   const int nranks = machine.nranks();
   PTILU_CHECK(graph.owner != nullptr, "DistGraph missing owner array");
-  PTILU_CHECK(static_cast<int>(graph.verts_of.size()) == nranks &&
-                  static_cast<int>(graph.adj.size()) == nranks,
-              "DistGraph rank count mismatch");
+  PTILU_CHECK(static_cast<int>(graph.parts.size()) == nranks, "DistGraph rank count mismatch");
 
   DistMisScratch local_scratch;
   DistMisScratch& sc = scratch != nullptr ? *scratch : local_scratch;
   sc.ensure(nranks, machine.scratch_lanes(), graph.n_global);
+  // New status epoch: every byte stamped by an earlier call reads as
+  // kCandidate. The six epoch bits wrap every 63 calls; the arrays are
+  // then cleared once.
+  if (++sc.call_epoch == 64) {
+    for (auto& s : sc.status) std::fill(s.begin(), s.end(), std::uint8_t{0});
+    sc.call_epoch = 1;
+  }
+  const auto epoch = static_cast<std::uint8_t>(sc.call_epoch << 2);
+  const auto status_of = [epoch](const std::vector<std::uint8_t>& status, idx v) {
+    // A status of this call differs from the epoch by kIn or kOut; any
+    // other byte is stale and reads as kCandidate.
+    const auto delta = static_cast<std::uint8_t>(status[v] - epoch);
+    return delta == kIn || delta == kOut ? static_cast<Status>(delta) : kCandidate;
+  };
 
   // Self-tagging: callers need not (and should not) wrap mis_dist in a
   // phase of their own; the tag nests under whatever phase is active.
   sim::ScopedPhase mis_phase(machine, "mis");
 
-  // Setup phase (the paper's "communication setup"): initialize owned and
-  // mirror statuses. While the same pass is over the adjacency anyway, it
-  // also records for each owned vertex the dedup'd list of remote peer
-  // ranks (CSR layout in the scratch): a status-change notification then
-  // walks that short list instead of rescanning the vertex's adjacency.
-  // Peer order matches first occurrence in the adjacency list, so the
-  // queued batches — and hence the messages — are byte-identical to the
-  // lazy-discovery scheme this replaces.
+  // Setup phase (the paper's "communication setup"): every owned vertex
+  // and mirror starts as a candidate — the status epoch already says so —
+  // and the rank scans its adjacency once, which the graph's precomputed
+  // entry count charges for. The slot-indexed batches are sized here.
   {
   sim::ScopedPhase span(machine, "setup");
   machine.step([&](sim::RankContext& ctx) {
     const int r = ctx.rank();
-    auto& status = sc.status[r];
-    auto& touched = sc.touched[r];
-    auto& pstart = sc.peer_start[r];
-    auto& plist = sc.peer_list[r];
-    auto& nbrs = sc.nbrs[r];
-    auto& peer_stamp = sc.peer_stamp[static_cast<std::size_t>(ctx.lane())];
-    const IdxVec& verts = graph.verts_of[r];
-    pstart.clear();
-    pstart.reserve(verts.size() + 1);
-    pstart.push_back(0);
-    plist.clear();
-    nbrs.clear();
-    std::uint64_t scanned = 0;
-    // peer_stamp doubles as two dedup marks per peer: bit 0 scopes the
-    // per-vertex peer list, bit 1 the rank-wide neighbor list.
-    for (std::size_t i = 0; i < verts.size(); ++i) {
-      status[verts[i]] = kCandidate;
-      touched.push_back(verts[i]);
-      const std::size_t first_peer = plist.size();
-      for (const idx u : graph.adj[r][i]) {
-        ++scanned;
-        const int peer = (*graph.owner)[u];
-        if (peer != r) {
-          status[u] = kCandidate;  // mirror entry
-          touched.push_back(u);
-          if (!(peer_stamp[peer] & 1)) {
-            peer_stamp[peer] |= 1;
-            plist.push_back(peer);
-          }
-          if (!(peer_stamp[peer] & 2)) {
-            peer_stamp[peer] |= 2;
-            nbrs.push_back(peer);
-          }
-        }
-      }
-      for (std::size_t p = first_peer; p < plist.size(); ++p) {
-        peer_stamp[plist[p]] &= static_cast<std::uint8_t>(~1);
-      }
-      pstart.push_back(static_cast<idx>(plist.size()));
-    }
-    // Sparse neighbor routing: sort the rank's few peers, then remap the
-    // per-vertex peer CSR from rank ids to slots into that sorted list, and
-    // size the slot-indexed outgoing batches by the neighbor degree.
-    // Flushing slots in order then visits peers in ascending rank order —
-    // the exact send order the dense 0..p-1 peer scan produced.
-    std::sort(nbrs.begin(), nbrs.end());
-    for (const int peer : nbrs) peer_stamp[peer] = 0;
-    for (int& entry : plist) {
-      entry = static_cast<int>(std::lower_bound(nbrs.begin(), nbrs.end(), entry) -
-                               nbrs.begin());
-    }
-    if (sc.in_batch[r].size() < nbrs.size()) sc.in_batch[r].resize(nbrs.size());
-    if (sc.out_batch[r].size() < nbrs.size()) sc.out_batch[r].resize(nbrs.size());
-    ctx.charge_mem(scanned * sizeof(idx));
+    const DistGraph::Part& part = graph.parts[r];
+    if (sc.in_batch[r].size() < part.nbrs.size()) sc.in_batch[r].resize(part.nbrs.size());
+    if (sc.out_batch[r].size() < part.nbrs.size()) sc.out_batch[r].resize(part.nbrs.size());
+    ctx.charge_mem(part.entries * sizeof(idx));
   }, "mis/setup");
   }
 
@@ -159,16 +173,15 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
   auto& in_batch = sc.in_batch;
   auto& out_batch = sc.out_batch;
   // Queue a status-change notice for every peer rank owning a neighbor of
-  // verts_of[r][i], via the precomputed peer CSR (entries are slots).
+  // parts[r].verts[i], via the graph's peer CSR (entries are slots).
   const auto notify = [&](int r, std::size_t i, idx v,
                           std::vector<IdxVec>& batch) {
-    const auto& pstart = sc.peer_start[r];
-    const auto& plist = sc.peer_list[r];
-    const idx end = pstart[i + 1];
-    for (idx p = pstart[i]; p < end; ++p) batch[plist[p]].push_back(v);
+    const DistGraph::Part& part = graph.parts[r];
+    const idx end = part.peer_ptr[i + 1];
+    for (idx p = part.peer_ptr[i]; p < end; ++p) batch[part.peer_slot[p]].push_back(v);
   };
   const auto flush_batches = [&](sim::RankContext& ctx, int r) {
-    const auto& nbrs = sc.nbrs[r];
+    const auto& nbrs = graph.parts[r].nbrs;
     for (std::size_t s = 0; s < nbrs.size(); ++s) {
       if (!in_batch[r][s].empty()) {
         ctx.send_indices(nbrs[s], kTagIn, in_batch[r][s]);
@@ -214,27 +227,32 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
         }
         return key[v];
       };
+      bool fresh = round == 0;  // every status still a candidate
       for (const sim::Message& msg : ctx.recv_all()) {
-        const std::uint8_t value = msg.tag == kTagIn ? kIn : kOut;
+        const auto value = static_cast<std::uint8_t>(epoch | (msg.tag == kTagIn ? kIn : kOut));
         recv_buf.clear();
         sim::decode_indices_append(msg, recv_buf);
         for (const idx v : recv_buf) status[v] = value;
+        fresh = false;
       }
 
-      const IdxVec& verts = graph.verts_of[r];
+      const DistGraph::Part& part = graph.parts[r];
+      const IdxVec& verts = part.verts;
       std::uint64_t comparisons = 0;
-      // Domination sweep: candidates adjacent to an In vertex leave.
-      for (std::size_t i = 0; i < verts.size(); ++i) {
+      // Domination sweep: candidates adjacent to an In vertex leave. With
+      // no In vertex anywhere yet, it would compare every entry and find
+      // none, so only its count is taken.
+      if (fresh) comparisons = part.entries;
+      for (std::size_t i = 0; i < verts.size() && !fresh; ++i) {
         const idx v = verts[i];
-        if (status[v] != kCandidate) continue;
-        for (const idx u : graph.adj[r][i]) {
+        if (status_of(status, v) != kCandidate) continue;
+        part.walk(i, [&](idx u) {
           ++comparisons;
-          if (status[u] == kIn) {
-            status[v] = kOut;
-            notify(r, i, v, out_batch[r]);
-            break;
-          }
-        }
+          if (status_of(status, u) != kIn) return false;
+          status[v] = static_cast<std::uint8_t>(epoch | kOut);
+          notify(r, i, v, out_batch[r]);
+          return true;
+        });
       }
       // Selection sweep (round-start statuses; domination above only uses
       // information already final at round start, i.e. In vertices).
@@ -242,35 +260,32 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
       selected.clear();
       for (std::size_t i = 0; i < verts.size(); ++i) {
         const idx v = verts[i];
-        if (status[v] != kCandidate) continue;
+        if (status_of(status, v) != kCandidate) continue;
         const std::uint64_t key_v = key_of(v);
-        bool is_min = true;
-        for (const idx u : graph.adj[r][i]) {
+        const bool beaten = part.walk(i, [&](idx u) {
           ++comparisons;
-          if (status[u] != kCandidate) continue;
+          if (status_of(status, u) != kCandidate) return false;
           const std::uint64_t key_u = key_of(u);
-          if (key_u < key_v || (key_u == key_v && u < v)) {
-            is_min = false;
-            break;
-          }
-        }
-        if (is_min) selected.push_back(static_cast<idx>(i));
+          return key_u < key_v || (key_u == key_v && u < v);
+        });
+        if (!beaten) selected.push_back(static_cast<idx>(i));
       }
       ctx.charge_flops(comparisons);
       // Commit: winners enter the set, their owned neighbors leave.
       for (const idx i : selected) {
         const idx v = verts[i];
-        status[v] = kIn;
+        status[v] = static_cast<std::uint8_t>(epoch | kIn);
         notify(r, i, v, in_batch[r]);
-        for (const idx u : graph.adj[r][i]) {
-          if ((*graph.owner)[u] != r || status[u] != kCandidate) continue;
-          status[u] = kOut;
+        part.walk(i, [&](idx u) {
+          if ((*graph.owner)[u] != r || status_of(status, u) != kCandidate) return false;
+          status[u] = static_cast<std::uint8_t>(epoch | kOut);
           const auto pos = static_cast<std::size_t>(
               std::lower_bound(verts.begin(), verts.end(), u) - verts.begin());
           notify(r, pos, u, out_batch[r]);
-        }
+          return false;
+        });
       }
-      for (const idx v : verts) sc.cand_lane[lane] += status[v] == kCandidate;
+      for (const idx v : verts) sc.cand_lane[lane] += status_of(status, v) == kCandidate;
       flush_batches(ctx, r);
     }, "mis/round");
     // Integer sum of the per-lane partials: order-independent, so one
@@ -289,14 +304,9 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
 
   IdxVec result;
   for (int r = 0; r < nranks; ++r) {
-    for (const idx v : graph.verts_of[r]) {
-      if (sc.status[r][v] == kIn) result.push_back(v);
+    for (const idx v : graph.parts[r].verts) {
+      if (status_of(sc.status[r], v) == kIn) result.push_back(v);
     }
-  }
-  // Reset scratch for the next call.
-  for (int r = 0; r < nranks; ++r) {
-    for (const idx v : sc.touched[r]) sc.status[r][v] = kCandidate;
-    sc.touched[r].clear();
   }
   std::sort(result.begin(), result.end());
   return result;

@@ -185,15 +185,12 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
   {
     sim::ScopedPhase color_span(machine, "factor/color");
     DistMisScratch mis_scratch;
-    // The residual graph lives directly in the DistGraph: each class strips
-    // its vertices in place instead of deep-copying the adjacency per color.
-    DistGraph graph;
-    graph.n_global = n;
-    graph.owner = &dist.owner;
-    graph.verts_of = active;  // active is still needed for the factor phases
-    graph.adj = std::move(adj);
+    // The residual graph: each class strips its vertices in place from the
+    // adjacency lists, which then back a fresh DistGraph for the next class.
+    std::vector<IdxVec> verts_of = active;  // active is still needed for the factor phases
     std::vector<std::uint8_t> colored(n, 0);
     while (remaining > 0) {
+      const DistGraph graph = DistGraph::from_adjacency(n, &dist.owner, verts_of, adj);
       const IdxVec cls = mis_dist(machine, graph,
                                   {.seed = 97 + classes.size(), .rounds = 64}, &mis_scratch);
       PTILU_CHECK(!cls.empty(), "coloring stalled");
@@ -202,20 +199,19 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
       classes.push_back(cls);
       // Strip colored vertices from the residual graph.
       for (int r = 0; r < nranks; ++r) {
-        IdxVec verts;
-        std::vector<IdxVec> vadj;
-        for (std::size_t i = 0; i < graph.verts_of[r].size(); ++i) {
-          const idx v = graph.verts_of[r][i];
-          if (colored[v]) continue;
-          IdxVec neighbors;
-          for (const idx u : graph.adj[r][i]) {
-            if (!colored[u]) neighbors.push_back(u);
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < verts_of[r].size(); ++i) {
+          if (colored[verts_of[r][i]]) continue;
+          IdxVec& neighbors = adj[r][i];
+          std::erase_if(neighbors, [&](idx u) { return colored[u] != 0; });
+          if (kept != i) {
+            verts_of[r][kept] = verts_of[r][i];
+            adj[r][kept] = std::move(neighbors);
           }
-          verts.push_back(v);
-          vadj.push_back(std::move(neighbors));
+          ++kept;
         }
-        graph.verts_of[r] = std::move(verts);
-        graph.adj[r] = std::move(vadj);
+        verts_of[r].resize(kept);
+        adj[r].resize(kept);
       }
     }
   }

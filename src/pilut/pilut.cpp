@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "detail.hpp"
+#include "reduced_graph.hpp"
 #include "ptilu/dist/mis_dist.hpp"
 #include "ptilu/ilu/working_row.hpp"
 #include "ptilu/sim/trace.hpp"
@@ -29,6 +30,8 @@ using pilut_detail::Lane;
 struct LevelLane {
   std::vector<IdxVec> reverse_out;  // setup: peer -> (target, source) pairs
   std::vector<IdxVec> requests;     // exchange: peer -> requested U rows
+  IdxVec elim_ptr;                  // reduce: active position -> slice of elim_all
+  IdxVec elim_all;                  // reduce: every row's I_l columns
   // Received remote U rows, pooled: a dense row -> slot map plus a slab of
   // reusable SparseRows (assign() keeps their capacity level over level).
   IdxVec remote_slot;
@@ -86,18 +89,16 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
   pilut_detail::run_initial_reduction(machine, dist, opts, norms, tail_cap, state,
                                       lanes);
   idx next_num = sched.n_interior;
-  // Dense per-level scratch arrays (active vertex sets are disjoint across
-  // ranks, so sharing them is safe and avoids hash-map churn in the hot
-  // per-level loops).
-  IdxVec pos_dense(n, -1);              // active vertex -> position in owner's list
   std::vector<std::uint8_t> in_set(n, 0);  // membership stamp for the current I_l
   DistMisScratch mis_scratch;              // dense status arrays reused per level
 
-  DistGraph graph;  // adjacency + vertex lists of the reduced matrix
+  // The reduced matrix's graph, kept across levels (reduced_graph.hpp),
+  // and the per-level view of it that mis_dist walks.
+  pilut_detail::ReducedGraph reduced(dist, machine.scratch_lanes());
+  DistGraph graph;
   graph.n_global = n;
   graph.owner = &dist.owner;
-  graph.verts_of.resize(nranks);
-  graph.adj.resize(nranks);
+  graph.parts.resize(nranks);
   std::vector<LevelLane> level_lanes;
   level_lanes.reserve(static_cast<std::size_t>(machine.scratch_lanes()));
   for (int i = 0; i < machine.scratch_lanes(); ++i) level_lanes.emplace_back(nranks, n);
@@ -119,39 +120,21 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
   const pilut_detail::FactorCounters counters = pilut_detail::factor_counters(machine);
   sim::ScopedPhase interface_phase(machine, "factor/interface");
   while (remaining > 0) {
-    // --- Build the symmetrized distributed graph of the reduced matrix.
-    // Tail columns are exactly the unfactored interface vertices, so the
+    // --- The symmetrized distributed graph of the reduced matrix. Tail
+    // columns are exactly the unfactored interface vertices, so the
     // directed adjacency of vertex v is its tail pattern; reverse edges to
     // remote owners travel in one superstep (the "communication setup").
-    std::vector<std::vector<IdxVec>>& adj = graph.adj;
+    // Both bodies charge what a rebuild from the tails costs, while the
+    // host only walks the remote edges and the level's delta.
     {
     sim::ScopedPhase span(machine, "setup");
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
       std::vector<IdxVec>& reverse_out =
           level_lanes[static_cast<std::size_t>(ctx.lane())].reverse_out;
-      for (auto& neighbors : adj[r]) neighbors.clear();  // keep inner capacity
-      adj[r].resize(active[r].size());
-      for (std::size_t i = 0; i < active[r].size(); ++i) {
-        pos_dense[active[r][i]] = static_cast<idx>(i);
-      }
-      std::uint64_t touched = 0;
-      for (std::size_t i = 0; i < active[r].size(); ++i) {
-        const idx v = active[r][i];
-        for (const idx c : state.tails[v].cols) {
-          if (c == v) continue;
-          ++touched;
-          adj[r][i].push_back(c);  // out-edge v -> c
-          const int peer = dist.owner[c];
-          if (peer == r) {
-            adj[r][pos_dense[c]].push_back(v);  // local reverse edge
-          } else {
-            reverse_out[peer].push_back(c);
-            reverse_out[peer].push_back(v);
-          }
-        }
-      }
-      ctx.charge_mem(touched * sizeof(idx));
+      reduced.begin_level(r, active[r], state.tails);
+      reduced.queue_reverse_pairs(r, ctx.lane(), active[r], reverse_out);
+      ctx.charge_mem(reduced.out_edges(r) * sizeof(idx));
       for (int peer = 0; peer < nranks; ++peer) {
         if (!reverse_out[peer].empty()) {
           ctx.send_indices(peer, 0, reverse_out[peer]);
@@ -161,22 +144,11 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
     }, "pilut/setup/reverse_edges");
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
-      LevelLane& lane = level_lanes[static_cast<std::size_t>(ctx.lane())];
-      IdxVec pairs;
-      for (const sim::Message& msg : ctx.recv_all()) {
-        pairs.clear();
-        sim::decode_indices_append(msg, pairs);
-        for (std::size_t p = 0; p < pairs.size(); p += 2) {
-          adj[r][pos_dense[pairs[p]]].push_back(pairs[p + 1]);
-        }
-      }
+      reduced.assemble(r, ctx.lane(), active[r], state.tails, ctx.recv_all(), graph.parts[r]);
       // Duplicate adjacency entries (an edge present in both tails) are
-      // harmless for the MIS — skipping dedup keeps this phase O(edges).
-      long long local_edges = 0;
-      for (const auto& neighbors : adj[r]) {
-        local_edges += static_cast<long long>(neighbors.size());
-      }
-      lane.edges += local_edges;  // per-lane partial; summed after the step
+      // harmless for the MIS and are counted like the rest.
+      level_lanes[static_cast<std::size_t>(ctx.lane())].edges +=
+          static_cast<long long>(graph.parts[r].entries);
     }, "pilut/setup/apply_reverse");
     }
     // Fold the per-lane edge partials (integer sum: order-independent, so
@@ -185,6 +157,9 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
     for (LevelLane& lane : level_lanes) {
       edges += lane.edges;
       lane.edges = 0;
+    }
+    if (machine.checking()) {
+      pilut_detail::check_against_rebuild(dist, active, state.tails, graph, edges);
     }
 
     // --- Choose the independent set I_l.
@@ -196,9 +171,6 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
       }
       std::sort(iset.begin(), iset.end());
     } else {
-      for (int r = 0; r < nranks; ++r) {
-        graph.verts_of[r].assign(active[r].begin(), active[r].end());
-      }
       iset = mis_dist(machine, graph,
                       {.seed = opts.seed + static_cast<std::uint64_t>(stats.levels),
                        .rounds = opts.mis_rounds},
@@ -254,6 +226,7 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
         state.udiag[v] = diag;
         pilut_detail::emit_urow(state.urows[v], v, diag, ustage);
         state.factored[v] = true;
+        reduced.retire_row(r, v, tail);
         tail.clear();
       }
       ctx.charge_flops(flops);
@@ -263,25 +236,22 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
     }
 
     // --- Exchange the U rows that remote eliminations will need. Each rank
-    // scans its remaining rows' tails for set members owned elsewhere,
-    // requests those rows, and owners reply within the same superstep pair.
+    // requests the set members owned elsewhere that its remaining rows'
+    // tails reference (ascending per owner), and owners reply within the
+    // same superstep pair.
     {
     sim::ScopedPhase span(machine, "exchange");
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
       std::vector<IdxVec>& requests =
           level_lanes[static_cast<std::size_t>(ctx.lane())].requests;
-      for (const idx i : active[r]) {
-        if (in_set[i]) continue;
-        for (const idx c : state.tails[i].cols) {
-          if (in_set[c] && dist.owner[c] != r) requests[dist.owner[c]].push_back(c);
-        }
+      for (const idx v : iset) {
+        const int peer = dist.owner[v];
+        if (peer != r && reduced.references(r, v)) requests[peer].push_back(v);
       }
       for (int peer = 0; peer < nranks; ++peer) {
         IdxVec& rows = requests[peer];
         if (rows.empty()) continue;
-        std::sort(rows.begin(), rows.end());
-        rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
         ctx.send_indices(peer, kTagUReq, rows);
         rows.clear();
       }
@@ -363,19 +333,25 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
 
       std::uint64_t flops = 0, copied = 0;
       pilut_detail::FillDropTally tally;
-      for (const idx i : active[r]) {
+      // Rows with no I_l columns are untouched by this level.
+      const IdxVec& rows = active[r];
+      reduced.eliminations(r, rows.size(), iset, ll.elim_ptr, ll.elim_all);
+      for (std::size_t pos = 0; pos < rows.size(); ++pos) {
+        const idx i = rows[pos];
         if (in_set[i]) continue;
-        SparseRow& tail = state.tails[i];
-        // Pre-scan: rows with no I_l columns are untouched by this level.
-        elim_cols.clear();
-        for (const idx c : tail.cols) {
-          if (in_set[c]) elim_cols.push_back(c);
+        if (ll.elim_ptr[pos] == ll.elim_ptr[pos + 1]) {
+          reduced.keep_row(r, pos);
+          continue;
         }
-        if (elim_cols.empty()) continue;
+        SparseRow& tail = state.tails[i];
+        elim_cols.assign(ll.elim_all.begin() + ll.elim_ptr[pos],
+                         ll.elim_all.begin() + ll.elim_ptr[pos + 1]);
         const real tau_i = opts.tau * norms[i];
         for (std::size_t p = 0; p < tail.size(); ++p) {
           w.insert(tail.cols[p], tail.vals[p]);
         }
+        const std::size_t old_size = tail.size();
+        const bool old_diag = w.present(i);
         // Ascending new number keeps the arithmetic order identical to the
         // serial elimination on the permuted matrix.
         std::sort(elim_cols.begin(), elim_cols.end(),
@@ -423,22 +399,24 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
           select_largest(tail, tail_cap, 0.0, i, scratch.kept);
           tally.dropped += t_before - tail.size();
         }
+        reduced.update_row(r, ctx.lane(), pos, i, w.touched(), old_size, old_diag, tail,
+                           w.present(i), tail_cap > 0, in_set);
         lane.max_reduced_row =
             std::max(lane.max_reduced_row, static_cast<nnz_t>(tail.size()));
         copied += tail.size() * (sizeof(idx) + sizeof(real));
         w.clear();
       }
+      reduced.end_level(r, iset);
       ctx.charge_flops(flops);
       ctx.charge_mem(copied);
       counters.commit(r, tally);
     }, "pilut/reduce");
     }
 
-    // --- Retire the factored rows and reset the dense scratch stamps.
+    // --- Retire the factored rows and reset the membership stamps.
     for (int r = 0; r < nranks; ++r) {
       IdxVec still;
       for (const idx v : active[r]) {
-        pos_dense[v] = -1;
         if (!in_set[v]) still.push_back(v);
       }
       remaining -= static_cast<long long>(active[r].size() - still.size());

@@ -91,10 +91,15 @@ void Trace::push_phase(std::string_view name) {
   }
   path += name;
   phase_stack_.push_back(intern(std::move(path)));
+  wall_stack_.emplace_back();
 }
 
 void Trace::pop_phase() {
   PTILU_CHECK(phase_stack_.size() > 1, "pop_phase without matching push_phase");
+  const double spent = wall_stack_.back().timer.seconds();
+  stats_[phase_stack_.back()].wall += spent - wall_stack_.back().nested;
+  wall_stack_.pop_back();
+  if (!wall_stack_.empty()) wall_stack_.back().nested += spent;
   phase_stack_.pop_back();
 }
 
@@ -160,7 +165,11 @@ void Trace::on_machine_reset() {
   std::fill(open_span_.begin(), open_span_.end(), kNoSpan);
 }
 
-std::vector<Trace::PhaseRow> Trace::phase_rollup() const {
+std::vector<Trace::PhaseRow> Trace::phase_rollup() const { return rows(false); }
+
+std::vector<Trace::PhaseRow> Trace::wall_rollup() const { return rows(true); }
+
+std::vector<Trace::PhaseRow> Trace::rows(bool with_wall_only) const {
   // Clock advance since the last barrier (e.g. a trailing charge_transfer
   // with no closing superstep) has not been attributed by sync(); credit it
   // to the phase of the most recent span so the rows still sum to the
@@ -170,7 +179,7 @@ std::vector<Trace::PhaseRow> Trace::phase_rollup() const {
   for (std::uint32_t id = 0; id < stats_.size(); ++id) {
     PhaseStats s = stats_[id];
     if (id == last_phase_ && residual > 0.0) s.elapsed += residual;
-    const bool active = s.elapsed != 0.0 || s.spans != 0;
+    const bool active = s.elapsed != 0.0 || s.spans != 0 || (with_wall_only && s.wall > 0.0);
     if (!active) continue;
     rows.push_back({phase_names_[id].empty() ? "(untagged)" : phase_names_[id], s});
   }
@@ -217,6 +226,36 @@ void Trace::write_phase_table(std::ostream& os) const {
     sum.bytes_sent += row.stats.bytes_sent;
   }
   emit("TOTAL", sum, total);
+  table.print(os);
+}
+
+void Trace::write_wall_table(std::ostream& os) const {
+  const auto all = wall_rollup();
+  if (all.empty()) {
+    os << "(no traced activity)\n";
+    return;
+  }
+  double wall_total = 0.0, modeled_total = 0.0;
+  for (const auto& row : all) {
+    wall_total += row.stats.wall;
+    modeled_total += row.stats.elapsed;
+  }
+  Table table({"phase", "wall s", "%", "modeled s", "%", "wall/modeled"});
+  const auto emit = [&](const std::string& name, double wall, double modeled) {
+    auto r = table.row();
+    r.cell(name)
+        .cell(wall, 6)
+        .cell(wall_total > 0.0 ? 100.0 * wall / wall_total : 0.0, 1)
+        .cell(modeled, 6)
+        .cell(modeled_total > 0.0 ? 100.0 * modeled / modeled_total : 0.0, 1);
+    if (modeled > 0.0) {
+      r.cell(wall / modeled, 3);
+    } else {
+      r.cell("-");
+    }
+  };
+  for (const auto& row : all) emit(row.name, row.stats.wall, row.stats.elapsed);
+  emit("TOTAL", wall_total, modeled_total);
   table.print(os);
 }
 
@@ -293,6 +332,7 @@ void Trace::clear() {
   phase_ids_.clear();
   stats_.clear();
   phase_stack_.clear();
+  wall_stack_.clear();
   spans_.clear();
   phase_names_.emplace_back();
   phase_ids_.emplace("", 0);

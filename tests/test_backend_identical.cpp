@@ -207,19 +207,14 @@ TEST(BackendIdentical, MisDistSetsMatch) {
   for (const int nranks : kRankCounts) {
     const Partition p = partition_kway(g, nranks);
     IdxVec owner = p.part;
-    DistGraph graph;
-    graph.n_global = g.n;
-    graph.owner = &owner;
-    graph.verts_of.resize(nranks);
-    graph.adj.resize(nranks);
-    for (idx v = 0; v < g.n; ++v) graph.verts_of[owner[v]].push_back(v);
-    for (int r = 0; r < nranks; ++r) {
-      graph.adj[r].resize(graph.verts_of[r].size());
-      for (std::size_t i = 0; i < graph.verts_of[r].size(); ++i) {
-        const auto nbrs = g.neighbors(graph.verts_of[r][i]);
-        graph.adj[r][i].assign(nbrs.begin(), nbrs.end());
-      }
+    std::vector<IdxVec> verts_of(nranks);
+    std::vector<std::vector<IdxVec>> adj(nranks);
+    for (idx v = 0; v < g.n; ++v) {
+      verts_of[owner[v]].push_back(v);
+      const auto nbrs = g.neighbors(v);
+      adj[owner[v]].emplace_back(nbrs.begin(), nbrs.end());
     }
+    const DistGraph graph = DistGraph::from_adjacency(g.n, &owner, verts_of, adj);
     const auto run = [&](const sim::Machine::Options& opts) {
       sim::Machine machine(nranks, opts);
       const IdxVec set = mis_dist(machine, graph, {.seed = 7, .rounds = 8});

@@ -149,21 +149,15 @@ TEST(DistSpmv, ModeledTimeDropsWithMoreRanks) {
 struct DistGraphFixture {
   IdxVec owner;
   DistGraph dist;
-  DistGraphFixture(const Graph& g, const Partition& p) {
-    owner = p.part;
-    dist.n_global = g.n;
-    dist.owner = &owner;
-    dist.verts_of.resize(p.nparts);
-    dist.adj.resize(p.nparts);
-    for (idx v = 0; v < g.n; ++v) dist.verts_of[p.part[v]].push_back(v);
-    for (int r = 0; r < p.nparts; ++r) {
-      dist.adj[r].resize(dist.verts_of[r].size());
-      for (std::size_t i = 0; i < dist.verts_of[r].size(); ++i) {
-        const idx v = dist.verts_of[r][i];
-        const auto nbrs = g.neighbors(v);
-        dist.adj[r][i].assign(nbrs.begin(), nbrs.end());
-      }
+  DistGraphFixture(const Graph& g, const Partition& p) : owner(p.part) {
+    std::vector<IdxVec> verts_of(p.nparts);
+    std::vector<std::vector<IdxVec>> adj(p.nparts);
+    for (idx v = 0; v < g.n; ++v) {
+      verts_of[p.part[v]].push_back(v);
+      const auto nbrs = g.neighbors(v);
+      adj[p.part[v]].emplace_back(nbrs.begin(), nbrs.end());
     }
+    dist = DistGraph::from_adjacency(g.n, &owner, verts_of, adj);
   }
 };
 
@@ -240,11 +234,8 @@ TEST(MisDist, CommunicationOnlyAcrossBoundaries) {
 
 TEST(MisDist, EmptyGraphGivesEmptySet) {
   IdxVec owner;
-  DistGraph dist;
-  dist.n_global = 0;
-  dist.owner = &owner;
-  dist.verts_of.resize(2);
-  dist.adj.resize(2);
+  const DistGraph dist = DistGraph::from_adjacency(0, &owner, std::vector<IdxVec>(2),
+                                                   std::vector<std::vector<IdxVec>>(2));
   sim::Machine machine(2);
   EXPECT_TRUE(mis_dist(machine, dist).empty());
 }

@@ -163,20 +163,18 @@ TEST(ScaleIdentity, MisDistRingAtP2048AcrossBackends) {
   // per-peer scan would touch 2048^2 batch slots per round.
   const int p = 2048;
   const idx n = 2 * p;
-  DistGraph g;
-  g.n_global = n;
   IdxVec owner(n);
   for (idx v = 0; v < n; ++v) owner[v] = static_cast<idx>(v / 2);
-  g.owner = &owner;
-  g.verts_of.resize(p);
-  g.adj.resize(p);
+  std::vector<IdxVec> verts_of(p);
+  std::vector<std::vector<IdxVec>> adj(p);
   for (int r = 0; r < p; ++r) {
     for (idx k = 0; k < 2; ++k) {
       const idx v = 2 * r + k;
-      g.verts_of[r].push_back(v);
-      g.adj[r].push_back({(v + n - 1) % n, (v + 1) % n});
+      verts_of[r].push_back(v);
+      adj[r].push_back({(v + n - 1) % n, (v + 1) % n});
     }
   }
+  const DistGraph g = DistGraph::from_adjacency(n, &owner, verts_of, adj);
   sim::Machine seq(p, backend_opts(sim::Backend::kSequential));
   sim::Machine thr(p, backend_opts(sim::Backend::kThreads));
   const IdxVec picked_seq = mis_dist(seq, g, {.seed = 7, .rounds = 6});

@@ -16,6 +16,7 @@
 #include "ptilu/pilut/trisolve_dist.hpp"
 #include "ptilu/sim/machine.hpp"
 #include "ptilu/sim/trace.hpp"
+#include "ptilu/support/timer.hpp"
 #include "ptilu/workloads/grids.hpp"
 
 namespace ptilu::sim {
@@ -314,6 +315,57 @@ TEST(Trace, SolveAndGmresPhasesAppear) {
   EXPECT_NE(find_phase(rows, "gmres/orthog"), nullptr);
   EXPECT_NEAR(trace.attributed_time(), machine.modeled_time(),
               1e-9 * std::max(machine.modeled_time(), 1e-30));
+}
+
+TEST(Trace, WallStampsAreSelfTimesKeptOutOfExports) {
+  const auto spin = [](double seconds) {
+    const WallTimer timer;
+    while (timer.seconds() < seconds) {
+    }
+  };
+  Trace trace;
+  Machine machine(2);
+  machine.attach_trace(&trace);
+  const WallTimer whole;
+  const WallTimer outer_scope;
+  {
+    ScopedPhase outer(machine, "outer");
+    machine.step([](RankContext& ctx) { ctx.charge_flops(10); });
+    ScopedPhase inner(machine, "inner");
+    spin(2e-3);
+  }
+  const double outer_spent = outer_scope.seconds();
+  {
+    ScopedPhase quiet(machine, "quiet");
+    spin(1e-3);
+  }
+  const double spent = whole.seconds();
+  machine.attach_trace(nullptr);
+
+  // The modeled rollup and its table ignore phases with wall time alone.
+  EXPECT_EQ(find_phase(trace.phase_rollup(), "quiet"), nullptr);
+  std::ostringstream table;
+  trace.write_phase_table(table);
+  EXPECT_EQ(table.str().find("quiet"), std::string::npos);
+
+  const auto rows = trace.wall_rollup();
+  const PhaseStats* outer = find_phase(rows, "outer");
+  const PhaseStats* inner = find_phase(rows, "outer/inner");
+  const PhaseStats* quiet = find_phase(rows, "quiet");
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  ASSERT_NE(quiet, nullptr);
+  EXPECT_GE(inner->wall, 2e-3);
+  EXPECT_GE(quiet->wall, 1e-3);
+  EXPECT_GE(outer->wall, 0.0);
+  // Self times: the nested spin is not counted in the outer phase too.
+  EXPECT_LE(outer->wall + inner->wall, outer_spent);
+  EXPECT_LE(outer->wall + inner->wall + quiet->wall, spent);
+
+  std::ostringstream wall;
+  trace.write_wall_table(wall);
+  EXPECT_NE(wall.str().find("quiet"), std::string::npos);
+  EXPECT_NE(wall.str().find("TOTAL"), std::string::npos);
 }
 
 TEST(Trace, ClearResetsEverything) {
