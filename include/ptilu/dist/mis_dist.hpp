@@ -17,6 +17,7 @@
 // charges for the scan the paper's algorithm makes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -28,13 +29,14 @@ namespace ptilu {
 /// A distributed graph over a subset of a global id space, one Part per
 /// rank. Part r owns the ascending vertex list `verts`; the neighbor
 /// sequence of verts[i] is the concatenation of its kSegments index ranges
-/// seg[i * kSegments + s] (walk() yields it). Only range 1 may hold
-/// verts[i] itself, which the walk skips: the PILUT driver points it at the
-/// row's tail, diagonal included. The sequence must be symmetric — u appears for v
-/// iff v appears for u — and may repeat a neighbor. A plain adjacency
-/// fills one range per vertex (from_adjacency); the PILUT driver points the
-/// ranges into its persistent reduced graph, so no level copies neighbor
-/// lists (see src/pilut/reduced_graph.hpp).
+/// seg[i * kSegments + s] (walk() yields it). The sequence must be
+/// symmetric — u appears for v iff v appears for u — and may repeat a
+/// neighbor. A plain adjacency fills one range per vertex
+/// (from_adjacency); the PILUT driver points the ranges into its
+/// persistent reduced graph, so no level copies neighbor lists (see
+/// src/pilut/reduced_graph.hpp). Only range 1 may hold verts[i] itself,
+/// which the walk skips: the driver points it at the row's tail, diagonal
+/// included.
 ///
 /// Each part also carries what mis_dist would otherwise rescan for: the
 /// total sequence length `entries` (the setup superstep's memory charge),
@@ -76,6 +78,43 @@ struct DistGraph {
       }
       return false;
     }
+
+    /// Fill nbrs / peer_ptr / peer_slot. peers_of(i, add) must call
+    /// add(rank) for every other rank owning a neighbor of verts[i]
+    /// (repeats allowed). `rank_stamp` is zeroed scratch of at least nranks
+    /// bytes, left zeroed.
+    template <typename PeersOf>
+    void index_peers(std::vector<std::uint8_t>& rank_stamp, PeersOf&& peers_of) {
+      peer_ptr.assign(1, 0);
+      peer_slot.clear();
+      nbrs.clear();
+      // rank_stamp doubles as two dedup marks per rank: bit 0 scopes the
+      // per-vertex peer list, bit 1 the part-wide neighbor list.
+      const auto add = [&](int peer) {
+        if (rank_stamp[peer] & 1) return;
+        rank_stamp[peer] |= 1;
+        peer_slot.push_back(peer);
+        if (!(rank_stamp[peer] & 2)) {
+          rank_stamp[peer] |= 2;
+          nbrs.push_back(peer);
+        }
+      };
+      for (std::size_t i = 0; i < verts.size(); ++i) {
+        const std::size_t first = peer_slot.size();
+        peers_of(i, add);
+        for (std::size_t p = first; p < peer_slot.size(); ++p) {
+          rank_stamp[peer_slot[p]] &= static_cast<std::uint8_t>(~1);
+        }
+        peer_ptr.push_back(static_cast<idx>(peer_slot.size()));
+      }
+      // Remap the per-vertex lists from ranks to slots into sorted nbrs.
+      std::sort(nbrs.begin(), nbrs.end());
+      for (const int peer : nbrs) rank_stamp[peer] = 0;
+      for (int& entry : peer_slot) {
+        entry = static_cast<int>(std::lower_bound(nbrs.begin(), nbrs.end(), entry) -
+                                 nbrs.begin());
+      }
+    }
   };
 
   idx n_global = 0;               ///< size of the global id space
@@ -95,13 +134,6 @@ struct DistGraph {
   static DistGraph from_adjacency(idx n_global, const IdxVec* owner,
                                   const std::vector<IdxVec>& verts_of,
                                   const std::vector<std::vector<IdxVec>>& adj);
-
-  /// Fill part r's nbrs / peer_ptr / peer_slot from its ranges.
-  /// `rank_stamp` is zeroed scratch of at least nranks bytes, left zeroed.
-  void index_peers(int r, std::vector<std::uint8_t>& rank_stamp);
-
-  idx total_vertices() const;
-  idx total_edges_directed() const;
 };
 
 struct DistMisOptions {

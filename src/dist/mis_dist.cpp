@@ -17,18 +17,6 @@ constexpr int kTagOut = 2;
 
 }  // namespace
 
-idx DistGraph::total_vertices() const {
-  idx total = 0;
-  for (const Part& part : parts) total += static_cast<idx>(part.verts.size());
-  return total;
-}
-
-idx DistGraph::total_edges_directed() const {
-  idx total = 0;
-  for (const Part& part : parts) total += static_cast<idx>(part.entries);
-  return total;
-}
-
 DistGraph DistGraph::from_adjacency(idx n_global, const IdxVec* owner,
                                     const std::vector<IdxVec>& verts_of,
                                     const std::vector<std::vector<IdxVec>>& adj) {
@@ -55,46 +43,14 @@ DistGraph DistGraph::from_adjacency(idx n_global, const IdxVec* owner,
     for (std::size_t i = 0; i < part.verts.size(); ++i) {
       part.seg[i * kSegments] = {part.storage.data() + ptr[i], part.storage.data() + ptr[i + 1]};
     }
-    graph.index_peers(static_cast<int>(r), stamp);
+    part.index_peers(stamp, [&](std::size_t i, const auto& add) {
+      for (idx k = ptr[i]; k < ptr[i + 1]; ++k) {
+        const int peer = (*owner)[part.storage[k]];
+        if (peer != static_cast<int>(r)) add(peer);
+      }
+    });
   }
   return graph;
-}
-
-void DistGraph::index_peers(int r, std::vector<std::uint8_t>& rank_stamp) {
-  Part& part = parts[static_cast<std::size_t>(r)];
-  part.peer_ptr.assign(1, 0);
-  part.peer_ptr.reserve(part.verts.size() + 1);
-  part.peer_slot.clear();
-  part.nbrs.clear();
-  // rank_stamp doubles as two dedup marks per rank: bit 0 scopes the
-  // per-vertex peer list, bit 1 the part-wide neighbor list.
-  for (std::size_t i = 0; i < part.verts.size(); ++i) {
-    const std::size_t first = part.peer_slot.size();
-    part.walk(i, [&](idx u) {
-      const int peer = (*owner)[u];
-      if (peer != r && !(rank_stamp[peer] & 1)) {
-        rank_stamp[peer] |= 1;
-        part.peer_slot.push_back(peer);
-        if (!(rank_stamp[peer] & 2)) {
-          rank_stamp[peer] |= 2;
-          part.nbrs.push_back(peer);
-        }
-      }
-      return false;
-    });
-    for (std::size_t p = first; p < part.peer_slot.size(); ++p) {
-      rank_stamp[part.peer_slot[p]] &= static_cast<std::uint8_t>(~1);
-    }
-    part.peer_ptr.push_back(static_cast<idx>(part.peer_slot.size()));
-  }
-  // Remap the per-vertex lists from rank ids to slots into the sorted
-  // neighbor list.
-  std::sort(part.nbrs.begin(), part.nbrs.end());
-  for (const int peer : part.nbrs) rank_stamp[peer] = 0;
-  for (int& entry : part.peer_slot) {
-    entry = static_cast<int>(std::lower_bound(part.nbrs.begin(), part.nbrs.end(), entry) -
-                             part.nbrs.begin());
-  }
 }
 
 void DistMisScratch::ensure(int nranks, int lanes, idx n_global) {

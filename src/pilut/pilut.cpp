@@ -40,7 +40,6 @@ struct LevelLane {
   IdxVec ucols_buf;    // reduce: concatenated U-row column payloads
   RealVec uvals_buf;   // reduce: concatenated U-row value payloads
   IdxVec elim_cols;    // reduce: this row's I_l columns
-  long long edges = 0;  // setup: this lane's share of the edge count
 
   LevelLane(int nranks, idx n)
       : reverse_out(nranks), requests(nranks), remote_slot(n, -1) {}
@@ -145,19 +144,12 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
       reduced.assemble(r, ctx.lane(), active[r], state.tails, ctx.recv_all(), graph.parts[r]);
-      // Duplicate adjacency entries (an edge present in both tails) are
-      // harmless for the MIS and are counted like the rest.
-      level_lanes[static_cast<std::size_t>(ctx.lane())].edges +=
-          static_cast<long long>(graph.parts[r].entries);
     }, "pilut/setup/apply_reverse");
     }
-    // Fold the per-lane edge partials (integer sum: order-independent, so
-    // one shared sequential lane and p threaded lanes agree bit-for-bit).
+    // Duplicate adjacency entries (an edge present in both tails) are
+    // harmless for the MIS and are counted like the rest.
     long long edges = 0;
-    for (LevelLane& lane : level_lanes) {
-      edges += lane.edges;
-      lane.edges = 0;
-    }
+    for (const DistGraph::Part& part : graph.parts) edges += static_cast<long long>(part.entries);
     if (machine.checking()) {
       pilut_detail::check_against_rebuild(dist, active, state.tails, graph, edges);
     }

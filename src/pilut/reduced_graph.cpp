@@ -1,6 +1,7 @@
 #include "reduced_graph.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "ptilu/support/check.hpp"
 
@@ -42,7 +43,6 @@ void ReducedGraph::begin_level(int r, const IdxVec& active,
     }
     rs.remote_ptr.push_back(static_cast<idx>(rs.remote_cols.size()));
   }
-  rs.remote_edges = rs.remote_cols.size();
 }
 
 void ReducedGraph::queue_reverse_pairs(int r, int lane, const IdxVec& active,
@@ -82,26 +82,30 @@ void ReducedGraph::assemble(int r, int lane, const IdxVec& active,
 
   // Remote in-edges by target position: a stable counting sort of the
   // pairs in message (sender rank) order keeps each sender's scan order.
-  // Each entry also records its sender, the owner of its source.
-  IdxVec& pairs = ls.pairs;
-  pairs.clear();
-  ls.message_end.clear();
-  for (const sim::Message& msg : messages) {
-    sim::decode_indices_append(msg, pairs);
-    ls.message_end.emplace_back(pairs.size(), msg.from);
-  }
+  // Each entry also records its sender, the owner of its source. The
+  // payloads are read in place.
+  const auto pair_at = [](const sim::Message& msg, std::size_t k) {
+    idx value;
+    std::memcpy(&value, msg.payload.data() + k * sizeof(idx), sizeof(idx));
+    return value;
+  };
   rs.rin_ptr.assign(na + 1, 0);
-  for (std::size_t p = 0; p < pairs.size(); p += 2) ++rs.rin_ptr[pos_[pairs[p]] + 1];
+  std::size_t received = 0;
+  for (const sim::Message& msg : messages) {
+    const std::size_t words = msg.payload.size() / sizeof(idx);
+    for (std::size_t k = 0; k < words; k += 2) ++rs.rin_ptr[pos_[pair_at(msg, k)] + 1];
+    received += words / 2;
+  }
   for (std::size_t i = 0; i < na; ++i) rs.rin_ptr[i + 1] += rs.rin_ptr[i];
-  rs.rin_src.resize(pairs.size() / 2);
-  ls.rin_from.resize(pairs.size() / 2);
+  rs.rin_src.resize(received);
+  ls.rin_from.resize(received);
   ls.cursor.assign(rs.rin_ptr.begin(), rs.rin_ptr.end() - 1);
-  std::size_t p = 0;
-  for (const auto& [end, from] : ls.message_end) {
-    for (; p < end; p += 2) {
-      const idx at = ls.cursor[pos_[pairs[p]]]++;
-      rs.rin_src[at] = pairs[p + 1];
-      ls.rin_from[at] = from;
+  for (const sim::Message& msg : messages) {
+    const std::size_t words = msg.payload.size() / sizeof(idx);
+    for (std::size_t k = 0; k < words; k += 2) {
+      const idx at = ls.cursor[pos_[pair_at(msg, k)]]++;
+      rs.rin_src[at] = pair_at(msg, k + 1);
+      ls.rin_from[at] = msg.from;
     }
   }
 
@@ -109,23 +113,7 @@ void ReducedGraph::assemble(int r, int lane, const IdxVec& active,
   part.seg.resize(na * DistGraph::kSegments);
   // Entries: the out-edges, the local in-edges (one per local out-edge of
   // this rank) and the remote in-edges just received.
-  part.entries = 2 * rs.out_edges - rs.remote_edges + rs.rin_src.size();
-
-  // Peer index: the ranks a vertex sent pairs to, then the ranks that sent
-  // pairs for it (consecutive in its in-edge slice, by sender order).
-  std::vector<std::uint8_t>& stamp = ls.rank_stamp;
-  part.peer_ptr.assign(1, 0);
-  part.peer_slot.clear();
-  part.nbrs.clear();
-  const auto add_peer = [&](int peer) {
-    if (stamp[peer] & 1) return;
-    stamp[peer] |= 1;
-    part.peer_slot.push_back(peer);
-    if (!(stamp[peer] & 2)) {
-      stamp[peer] |= 2;
-      part.nbrs.push_back(peer);
-    }
-  };
+  part.entries = 2 * rs.out_edges - rs.remote_cols.size() + received;
   const idx* rin = rs.rin_src.data();
   for (std::size_t i = 0; i < na; ++i) {
     const idx v = active[i];
@@ -137,24 +125,16 @@ void ReducedGraph::assemble(int r, int lane, const IdxVec& active,
     seg[1] = {out.data(), out.data() + out.size()};
     seg[2] = {split, in.data() + in.size()};
     seg[3] = {rin + rs.rin_ptr[i], rin + rs.rin_ptr[i + 1]};
-
-    const std::size_t first = part.peer_slot.size();
-    for (idx k = rs.out_peer_ptr[i]; k < rs.out_peer_ptr[i + 1]; ++k) add_peer(rs.out_peers[k]);
+  }
+  // Peers: the ranks a vertex sent pairs to, then the ranks that sent
+  // pairs for it (consecutive in its in-edge slice).
+  part.index_peers(ls.rank_stamp, [&](std::size_t i, const auto& add) {
+    for (idx k = rs.out_peer_ptr[i]; k < rs.out_peer_ptr[i + 1]; ++k) add(rs.out_peers[k]);
     int prev = -1;
     for (idx k = rs.rin_ptr[i]; k < rs.rin_ptr[i + 1]; ++k) {
-      if (ls.rin_from[k] != prev) add_peer(prev = ls.rin_from[k]);
+      if (ls.rin_from[k] != prev) add(prev = ls.rin_from[k]);
     }
-    for (std::size_t k = first; k < part.peer_slot.size(); ++k) {
-      stamp[part.peer_slot[k]] &= static_cast<std::uint8_t>(~1);
-    }
-    part.peer_ptr.push_back(static_cast<idx>(part.peer_slot.size()));
-  }
-  std::sort(part.nbrs.begin(), part.nbrs.end());
-  for (const int peer : part.nbrs) stamp[peer] = 0;
-  for (int& entry : part.peer_slot) {
-    entry = static_cast<int>(std::lower_bound(part.nbrs.begin(), part.nbrs.end(), entry) -
-                             part.nbrs.begin());
-  }
+  });
 }
 
 void ReducedGraph::retire_row(int r, idx v, const SparseRow& tail) {
@@ -171,8 +151,6 @@ void ReducedGraph::retire_row(int r, idx v, const SparseRow& tail) {
       if (--rs.live[s] == 0) release_slot(rs, c);
     }
   }
-  const idx pos = pos_[v];
-  rs.remote_edges -= static_cast<std::uint64_t>(rs.remote_ptr[pos + 1] - rs.remote_ptr[pos]);
   pos_[v] = -1;
 }
 
@@ -221,11 +199,9 @@ void ReducedGraph::update_row(int r, int lane, std::size_t pos, idx i, const Idx
                               const std::vector<std::uint8_t>& in_set) {
   RankState& rs = ranks_[r];
   IdxVec& next = rs.next_cols;
-  const std::size_t first = next.size();
   rs.out_edges += (tail.size() - new_diag) - (old_size - old_diag);  // unsigned wrap is exact
-  rs.remote_edges -= static_cast<std::uint64_t>(rs.remote_ptr[pos + 1] - rs.remote_ptr[pos]);
-  // The I_l columns leave with the level (drop_columns forgets their
-  // index entries wholesale), so only the row's remote list sheds them.
+  // The I_l columns leave with the level (end_level forgets their index
+  // entries wholesale), so only the row's remote list sheds them.
   if (!capped) {
     // The new tail is the old one minus I_l, then the fill in insertion
     // order: touched[old_size, end).
@@ -258,7 +234,6 @@ void ReducedGraph::update_row(int r, int lane, std::size_t pos, idx i, const Idx
       if (c != i && dist_->owner[c] != r) next.push_back(c);
     }
   }
-  rs.remote_edges += next.size() - first;
   rs.next_ptr.push_back(static_cast<idx>(next.size()));
 }
 

@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "ptilu/dist/distcsr.hpp"
@@ -113,12 +112,9 @@ class ReducedGraph {
     IdxVec out_peer_ptr;              // by active position: ranks its pairs went to
     std::vector<int> out_peers;
     std::uint64_t out_edges = 0;      // off-diagonal tail entries
-    std::uint64_t remote_edges = 0;   // of which remote (reverse pairs sent)
     bool built = false;
   };
   struct LaneScratch {
-    IdxVec pairs;                     // decoded reverse pairs
-    std::vector<std::pair<std::size_t, int>> message_end;  // (end in pairs, sender)
     IdxVec cursor;                    // counting-sort fill cursors
     std::vector<int> rin_from;        // sender of each remote in-edge
     IdxVec last_row;                  // by rank: last row that sent it a pair
