@@ -183,7 +183,7 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
         }
         return key[v];
       };
-      bool fresh = round == 0;  // every status still a candidate
+      bool fresh = round == 0;  // every status this rank sees is still a candidate
       for (const sim::Message& msg : ctx.recv_all()) {
         const auto value = static_cast<std::uint8_t>(epoch | (msg.tag == kTagIn ? kIn : kOut));
         recv_buf.clear();
@@ -195,9 +195,9 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
       const DistGraph::Part& part = graph.parts[r];
       const IdxVec& verts = part.verts;
       std::uint64_t comparisons = 0;
-      // Domination sweep: candidates adjacent to an In vertex leave. With
-      // no In vertex anywhere yet, it would compare every entry and find
-      // none, so only its count is taken.
+      // Domination sweep: candidates adjacent to an In vertex leave. While
+      // this rank sees no In vertex yet, it would compare every entry and
+      // find none, so only its count is taken.
       if (fresh) comparisons = part.entries;
       for (std::size_t i = 0; i < verts.size() && !fresh; ++i) {
         const idx v = verts[i];
