@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "ptilu/ilu/block_kernels.hpp"
 #include "ptilu/ilu/ilut.hpp"
@@ -148,6 +149,13 @@ struct BlockedCase {
   real slack;
   int max_panel;
 };
+
+// Without this gtest prints the parameter as raw bytes: the name pointer and
+// the struct padding, which differ from run to run and so leak into the test
+// names CTest discovers.
+void PrintTo(const BlockedCase& c, std::ostream* os) {
+  *os << c.name << " slack=" << c.slack << " max_panel=" << c.max_panel;
+}
 
 class BlockedVsScalar : public ::testing::TestWithParam<BlockedCase> {};
 
