@@ -90,8 +90,9 @@ inline real tile_frob2(int nb, const real* t) {
 // `s` points at row entries of a column-major n x k block: the value for
 // column c is s[c * s_stride] (s_stride = the block's row count n).
 
-/// acc[c] -= a * s[c * s_stride] for c in [0, K) — the scalar-factor
-/// batched inner kernel (one CSR entry against K solution columns).
+/// acc[c] -= a * s[c * s_stride] for c in [0, K) — one CSR entry against K
+/// solution columns, the inner kernel of the distributed batched sweeps
+/// (the serial CSR solves inline it in their fixed-K row loops).
 template <int K>
 inline void rhs_axpy(real* PTILU_RESTRICT acc, real a, const real* PTILU_RESTRICT s,
                      std::size_t s_stride) {
@@ -130,7 +131,11 @@ inline void tile_axpy_rhs_k(int k, real* PTILU_RESTRICT acc,
                             const real* PTILU_RESTRICT s, std::size_t s_stride) {
   switch (k) {
     case 8: tile_axpy_rhs<NB, 8>(acc, m, s, s_stride); return;
+    case 7: tile_axpy_rhs<NB, 7>(acc, m, s, s_stride); return;
+    case 6: tile_axpy_rhs<NB, 6>(acc, m, s, s_stride); return;
+    case 5: tile_axpy_rhs<NB, 5>(acc, m, s, s_stride); return;
     case 4: tile_axpy_rhs<NB, 4>(acc, m, s, s_stride); return;
+    case 3: tile_axpy_rhs<NB, 3>(acc, m, s, s_stride); return;
     case 2: tile_axpy_rhs<NB, 2>(acc, m, s, s_stride); return;
     case 1: tile_axpy_rhs<NB, 1>(acc, m, s, s_stride); return;
     default:
@@ -142,10 +147,10 @@ inline void tile_axpy_rhs_k(int k, real* PTILU_RESTRICT acc,
 }
 }  // namespace detail
 
-/// Runtime (nb, k) dispatch to the fixed-size nb x k instantiations. Both
-/// dimensions come from {1, 2, 4, 8} on the hot paths (panel widths from
-/// detect_panels, batch groups from the batched solves); the generic
-/// fallback keeps arbitrary sizes correct.
+/// Runtime (nb, k) dispatch to the fixed-size nb x k instantiations. On the
+/// hot paths nb comes from {1, 2, 4, 8} (panel widths from detect_panels)
+/// and k from 1..8 (the batched solves' groups of min(8, remaining)
+/// columns); the generic fallback keeps arbitrary sizes correct.
 inline void tile_axpy_rhs_any(int nb, int k, real* PTILU_RESTRICT acc,
                               const real* PTILU_RESTRICT m,
                               const real* PTILU_RESTRICT s, std::size_t s_stride) {

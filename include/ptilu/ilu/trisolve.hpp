@@ -40,15 +40,16 @@ void ilu_apply(const BlockedFactors& f, std::span<const real> b, std::span<real>
 
 // ---- Batched multi-RHS solves (the serving hot path) -------------------
 //
-// One sweep over the factor carries all k columns of a DenseRhsBlock: per
-// CSR entry (or panel tile) the k independent accumulators update together
-// (block_kernels.hpp rhs kernels), which breaks the single-RHS FMA latency
-// chain and reuses each loaded factor entry k times. Column c of the
-// result is bit-identical to the single-RHS solve of column c for the
-// scalar CSR overloads (per column the accumulation order is exactly the
-// single-RHS order); the blocked overloads match their single-RHS blocked
-// counterparts the same way. Held by tests/test_serve.cpp for
-// k in {1, 2, 4, 8, 13}.
+// One sweep over the factor carries a group of min(8, remaining) columns
+// of a DenseRhsBlock, so k <= 8 streams the factor once: per CSR entry (or
+// panel tile) the group's independent accumulators update together, which
+// breaks the single-RHS latency chain and reuses each loaded factor entry
+// for every column. The row loops are instantiated at each group width
+// 1..8 and chosen once per group. Column c of the result is bit-identical
+// to the single-RHS solve of column c for the scalar CSR overloads (per
+// column the accumulation order is exactly the single-RHS order); the
+// blocked overloads match their single-RHS blocked counterparts within
+// rounding. Held by tests/test_serve.cpp for every k in 1..17.
 
 /// Solve L Y = B column-wise, one sweep over L.
 void forward_solve(const Csr& l, const DenseRhsBlock& b, DenseRhsBlock& y);

@@ -72,11 +72,6 @@ struct BatchCostModel {
 BatchCostModel modeled_batch_costs(idx n, std::uint64_t nnz, std::uint64_t nnz_l,
                                    std::uint64_t nnz_u, double flop_t, double mem_t);
 
-/// Legacy single-number service model: BatchCostModel::total_s without
-/// the cache-resolve term (callers that never touch the cache).
-double modeled_batch_service_s(int k, idx n, std::uint64_t nnz_l, std::uint64_t nnz_u,
-                               double flop_t, double mem_t);
-
 /// Form batches from an arrival schedule (arrival times strictly
 /// increasing) with a single-server FIFO greedy policy: when the server is
 /// free and requests are queued, serve min(queued, batch_max) of them

@@ -1,5 +1,7 @@
 #include "ptilu/ilu/trisolve.hpp"
 
+#include <algorithm>
+
 #include "ptilu/ilu/block_kernels.hpp"
 #include "ptilu/support/check.hpp"
 
@@ -107,19 +109,11 @@ void ilu_apply(const BlockedFactors& f, std::span<const real> b, std::span<real>
 
 namespace {
 
-/// Batched solves process columns in register-resident groups of up to 8.
+/// Batched solves carry up to 8 columns per pass over the factor — as many
+/// accumulators as stay in registers. A batch of k columns runs as groups
+/// of min(8, remaining), so k <= 8 streams the factor once, and every
+/// group width has its own fixed-K instantiation.
 constexpr int kMaxRhsGroup = 8;
-
-/// Largest power-of-two group width <= remaining columns (8, 4, 2, 1) — the
-/// widths the rhs kernels instantiate. Grouping cannot affect results:
-/// columns are arithmetically independent, so any grouping yields the same
-/// per-column accumulation order.
-int rhs_group(int remaining) {
-  if (remaining >= 8) return 8;
-  if (remaining >= 4) return 4;
-  if (remaining >= 2) return 2;
-  return 1;
-}
 
 void check_block_shapes(idx n, const DenseRhsBlock& in, const DenseRhsBlock& out,
                         const char* what) {
@@ -128,65 +122,94 @@ void check_block_shapes(idx n, const DenseRhsBlock& in, const DenseRhsBlock& out
                    << in.k << ", out " << out.n << "x" << out.k << ")");
 }
 
+/// One forward sweep of unit-lower L over K columns (column-major, row
+/// stride `stride`). Column c accumulates in exactly the single-RHS order.
+template <int K>
+void forward_group(const Csr& l, const real* bcol, real* ycol, std::size_t stride) {
+  const nnz_t* PTILU_RESTRICT row_ptr = l.row_ptr.data();
+  const idx* PTILU_RESTRICT col_idx = l.col_idx.data();
+  const real* PTILU_RESTRICT values = l.values.data();
+  const idx n = l.n_rows;
+  real acc[K];
+  for (idx i = 0; i < n; ++i) {
+    const std::size_t row = static_cast<std::size_t>(i);
+    for (int c = 0; c < K; ++c) acc[c] = bcol[c * stride + row];
+    for (nnz_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+      const real a = values[k];
+      const real* s = ycol + col_idx[k];
+      for (int c = 0; c < K; ++c) acc[c] -= a * s[c * stride];
+    }
+    for (int c = 0; c < K; ++c) ycol[c * stride + row] = acc[c];
+  }
+}
+
+/// One backward sweep of U (diagonal first in each row) over K columns.
+template <int K>
+void backward_group(const Csr& u, const real* ycol, real* xcol, std::size_t stride) {
+  const nnz_t* PTILU_RESTRICT row_ptr = u.row_ptr.data();
+  const idx* PTILU_RESTRICT col_idx = u.col_idx.data();
+  const real* PTILU_RESTRICT values = u.values.data();
+  real acc[K];
+  for (idx i = u.n_rows - 1; i >= 0; --i) {
+    const std::size_t row = static_cast<std::size_t>(i);
+    const nnz_t start = row_ptr[i];
+    PTILU_ASSERT(col_idx[start] == i, "U row must start with the diagonal");
+    for (int c = 0; c < K; ++c) acc[c] = ycol[c * stride + row];
+    for (nnz_t k = start + 1; k < row_ptr[i + 1]; ++k) {
+      const real a = values[k];
+      const real* s = xcol + col_idx[k];
+      for (int c = 0; c < K; ++c) acc[c] -= a * s[c * stride];
+    }
+    const real pivot = values[start];
+    for (int c = 0; c < K; ++c) xcol[c * stride + row] = acc[c] / pivot;
+  }
+}
+
+/// The group kernels by width: entry K-1 is the K-column instantiation.
+using GroupSolve = void (*)(const Csr&, const real*, real*, std::size_t);
+constexpr GroupSolve kForwardGroup[kMaxRhsGroup] = {
+    forward_group<1>, forward_group<2>, forward_group<3>, forward_group<4>,
+    forward_group<5>, forward_group<6>, forward_group<7>, forward_group<8>};
+constexpr GroupSolve kBackwardGroup[kMaxRhsGroup] = {
+    backward_group<1>, backward_group<2>, backward_group<3>, backward_group<4>,
+    backward_group<5>, backward_group<6>, backward_group<7>, backward_group<8>};
+
 }  // namespace
 
 void forward_solve(const Csr& l, const DenseRhsBlock& b, DenseRhsBlock& y) {
-  const idx n = l.n_rows;
-  check_block_shapes(n, b, y, "forward_solve");
-  const std::size_t stride = static_cast<std::size_t>(n);
-  real acc[kMaxRhsGroup];
-  for (int c0 = 0; c0 < b.k;) {
-    const int kc = rhs_group(b.k - c0);
-    const real* bcol = b.data.data() + static_cast<std::size_t>(c0) * stride;
-    real* ycol = y.data.data() + static_cast<std::size_t>(c0) * stride;
-    for (idx i = 0; i < n; ++i) {
-      for (int c = 0; c < kc; ++c) acc[c] = bcol[c * stride + static_cast<std::size_t>(i)];
-      for (nnz_t k = l.row_ptr[i]; k < l.row_ptr[i + 1]; ++k) {
-        rhs_axpy_any(kc, acc, l.values[k], ycol + l.col_idx[k], stride);
-      }
-      for (int c = 0; c < kc; ++c) ycol[c * stride + static_cast<std::size_t>(i)] = acc[c];
-    }
-    c0 += kc;
+  check_block_shapes(l.n_rows, b, y, "forward_solve");
+  const std::size_t stride = static_cast<std::size_t>(l.n_rows);
+  for (int c0 = 0; c0 < b.k; c0 += kMaxRhsGroup) {
+    const std::size_t offset = static_cast<std::size_t>(c0) * stride;
+    kForwardGroup[std::min(kMaxRhsGroup, b.k - c0) - 1](l, b.data.data() + offset,
+                                                        y.data.data() + offset, stride);
   }
 }
 
 void backward_solve(const Csr& u, const DenseRhsBlock& y, DenseRhsBlock& x) {
-  const idx n = u.n_rows;
-  check_block_shapes(n, y, x, "backward_solve");
-  const std::size_t stride = static_cast<std::size_t>(n);
-  real acc[kMaxRhsGroup];
-  for (int c0 = 0; c0 < y.k;) {
-    const int kc = rhs_group(y.k - c0);
-    const real* ycol = y.data.data() + static_cast<std::size_t>(c0) * stride;
-    real* xcol = x.data.data() + static_cast<std::size_t>(c0) * stride;
-    for (idx i = n - 1; i >= 0; --i) {
-      const nnz_t start = u.row_ptr[i];
-      PTILU_ASSERT(u.col_idx[start] == i, "U row must start with the diagonal");
-      for (int c = 0; c < kc; ++c) acc[c] = ycol[c * stride + static_cast<std::size_t>(i)];
-      for (nnz_t k = start + 1; k < u.row_ptr[i + 1]; ++k) {
-        rhs_axpy_any(kc, acc, u.values[k], xcol + u.col_idx[k], stride);
-      }
-      const real pivot = u.values[start];
-      for (int c = 0; c < kc; ++c) {
-        xcol[c * stride + static_cast<std::size_t>(i)] = acc[c] / pivot;
-      }
-    }
-    c0 += kc;
+  check_block_shapes(u.n_rows, y, x, "backward_solve");
+  const std::size_t stride = static_cast<std::size_t>(u.n_rows);
+  for (int c0 = 0; c0 < y.k; c0 += kMaxRhsGroup) {
+    const std::size_t offset = static_cast<std::size_t>(c0) * stride;
+    kBackwardGroup[std::min(kMaxRhsGroup, y.k - c0) - 1](u, y.data.data() + offset,
+                                                         x.data.data() + offset, stride);
   }
 }
 
 void ilu_apply(const IluFactors& factors, const DenseRhsBlock& b, DenseRhsBlock& x) {
-  DenseRhsBlock y(factors.n(), b.k);
-  forward_solve(factors.l, b, y);
-  backward_solve(factors.u, y, x);
+  // No n x k scratch: row i of the backward sweep reads Y's row i before
+  // writing X's, and otherwise only rows already solved, so it runs in
+  // place on the forward result.
+  forward_solve(factors.l, b, x);
+  backward_solve(factors.u, x, x);
 }
 
 void forward_solve(const BlockedFactors& f, const DenseRhsBlock& b, DenseRhsBlock& y) {
   check_block_shapes(f.n, b, y, "forward_solve");
   const std::size_t stride = static_cast<std::size_t>(f.n);
   real acc[64 * kMaxRhsGroup];  // kc column-major nb-tiles; nb capped at 64
-  for (int c0 = 0; c0 < b.k;) {
-    const int kc = rhs_group(b.k - c0);
+  for (int c0 = 0; c0 < b.k; c0 += kMaxRhsGroup) {
+    const int kc = std::min(kMaxRhsGroup, b.k - c0);
     const real* bcol = b.data.data() + static_cast<std::size_t>(c0) * stride;
     real* ycol = y.data.data() + static_cast<std::size_t>(c0) * stride;
     for (idx p = 0; p < f.n_panels(); ++p) {
@@ -215,7 +238,6 @@ void forward_solve(const BlockedFactors& f, const DenseRhsBlock& b, DenseRhsBloc
         }
       }
     }
-    c0 += kc;
   }
 }
 
@@ -223,8 +245,8 @@ void backward_solve(const BlockedFactors& f, const DenseRhsBlock& y, DenseRhsBlo
   check_block_shapes(f.n, y, x, "backward_solve");
   const std::size_t stride = static_cast<std::size_t>(f.n);
   real acc[64 * kMaxRhsGroup];
-  for (int c0 = 0; c0 < y.k;) {
-    const int kc = rhs_group(y.k - c0);
+  for (int c0 = 0; c0 < y.k; c0 += kMaxRhsGroup) {
+    const int kc = std::min(kMaxRhsGroup, y.k - c0);
     const real* ycol = y.data.data() + static_cast<std::size_t>(c0) * stride;
     real* xcol = x.data.data() + static_cast<std::size_t>(c0) * stride;
     for (idx p = f.n_panels() - 1; p >= 0; --p) {
@@ -255,14 +277,14 @@ void backward_solve(const BlockedFactors& f, const DenseRhsBlock& y, DenseRhsBlo
         }
       }
     }
-    c0 += kc;
   }
 }
 
 void ilu_apply(const BlockedFactors& f, const DenseRhsBlock& b, DenseRhsBlock& x) {
-  DenseRhsBlock y(f.n, b.k);
-  forward_solve(f, b, y);
-  backward_solve(f, y, x);
+  // In place like the scalar batched apply: each panel loads its Y rows
+  // into the accumulators before writing its X rows.
+  forward_solve(f, b, x);
+  backward_solve(f, x, x);
 }
 
 }  // namespace ptilu

@@ -10,35 +10,79 @@ namespace ptilu::serve {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+// xxHash64's primes (odd, so multiplying by one is a bijection mod 2^64).
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
 
-void fnv_bytes(std::uint64_t& hash, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
+constexpr std::uint64_t rotl(std::uint64_t x, int r) {
+  return (x << r) | (x >> (64 - r));
 }
 
-template <typename T>
-void fnv_pod(std::uint64_t& hash, const T& value) {
-  fnv_bytes(hash, &value, sizeof(T));
+/// One lane step, the xxHash64 round: for a fixed word it is a bijection of
+/// the state, and for a fixed state a bijection of the word. Every fold
+/// below is a chain of these, so changing any one word, length or
+/// dimension always changes the fingerprint.
+constexpr std::uint64_t mix(std::uint64_t state, std::uint64_t word) {
+  return rotl(state + word * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t load_word(const unsigned char* p) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+/// Fold an array's byte length and contents into `hash`. Four independent
+/// lanes take consecutive words in turn, so the loop runs at memory speed
+/// rather than at one multiply latency per word; the lanes, the words left
+/// after the last 32-byte stripe and a zero-padded tail then fold into
+/// `hash` one after another.
+std::uint64_t mix_bytes(std::uint64_t hash, const void* data, std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  hash = mix(hash, len);
+  std::uint64_t lane0 = kPrime1 + kPrime2, lane1 = kPrime2;
+  std::uint64_t lane2 = 0, lane3 = 0 - kPrime1;
+  std::size_t i = 0;
+  for (; i + 32 <= len; i += 32) {
+    lane0 = mix(lane0, load_word(p + i));
+    lane1 = mix(lane1, load_word(p + i + 8));
+    lane2 = mix(lane2, load_word(p + i + 16));
+    lane3 = mix(lane3, load_word(p + i + 24));
+  }
+  hash = mix(mix(mix(mix(hash, lane0), lane1), lane2), lane3);
+  for (; i + 8 <= len; i += 8) hash = mix(hash, load_word(p + i));
+  if (i < len) {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, p + i, len - i);
+    hash = mix(hash, tail);
+  }
+  return hash;
+}
+
+/// xxHash64's final avalanche (xor-shifts and odd multiplies: a bijection).
+std::uint64_t avalanche(std::uint64_t hash) {
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
+  return hash;
 }
 
 }  // namespace
 
 std::uint64_t matrix_fingerprint(const Csr& a) {
-  std::uint64_t hash = kFnvOffset;
-  fnv_pod(hash, a.n_rows);
-  fnv_pod(hash, a.n_cols);
-  fnv_bytes(hash, a.row_ptr.data(), a.row_ptr.size() * sizeof(nnz_t));
-  fnv_bytes(hash, a.col_idx.data(), a.col_idx.size() * sizeof(idx));
+  std::uint64_t hash = mix(mix(kPrime4, static_cast<std::uint64_t>(a.n_rows)),
+                           static_cast<std::uint64_t>(a.n_cols));
+  hash = mix_bytes(hash, a.row_ptr.data(), a.row_ptr.size() * sizeof(nnz_t));
+  hash = mix_bytes(hash, a.col_idx.data(), a.col_idx.size() * sizeof(idx));
   // Values hash by bit pattern: 0.0 vs -0.0 are distinct operators to the
   // fingerprint, which errs toward refactoring — never toward reusing a
   // factor for a numerically different matrix.
-  fnv_bytes(hash, a.values.data(), a.values.size() * sizeof(real));
-  return hash;
+  hash = mix_bytes(hash, a.values.data(), a.values.size() * sizeof(real));
+  return avalanche(hash);
 }
 
 const char* factor_variant_name(FactorVariant variant) {

@@ -43,13 +43,6 @@ BatchCostModel modeled_batch_costs(idx n, std::uint64_t nnz, std::uint64_t nnz_l
   return costs;
 }
 
-double modeled_batch_service_s(int k, idx n, std::uint64_t nnz_l, std::uint64_t nnz_u,
-                               double flop_t, double mem_t) {
-  BatchCostModel costs = modeled_batch_costs(n, 0, nnz_l, nnz_u, flop_t, mem_t);
-  costs.cache_resolve_s = 0.0;  // no cache on this path
-  return costs.total_s(k);
-}
-
 std::vector<Batch> plan_serve(const std::vector<Request>& schedule, int batch_max,
                               const std::function<double(int)>& service_s) {
   PTILU_CHECK(!schedule.empty(), "plan_serve: empty schedule");

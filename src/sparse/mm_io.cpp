@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "ptilu/support/check.hpp"
@@ -47,10 +48,18 @@ Csr read_matrix_market(std::istream& in) {
     std::istringstream sizes(line);
     PTILU_CHECK(static_cast<bool>(sizes >> rows >> cols >> entries), "malformed size line");
     PTILU_CHECK(rows > 0 && cols > 0 && entries >= 0, "invalid matrix dimensions");
+    constexpr long long kMaxDim = std::numeric_limits<idx>::max();
+    PTILU_CHECK(rows <= kMaxDim && cols <= kMaxDim,
+                "matrix dimensions " << rows << " x " << cols
+                                     << " exceed the index type's " << kMaxDim);
   }
 
   CooBuilder builder(static_cast<idx>(rows), static_cast<idx>(cols));
-  builder.reserve(static_cast<std::size_t>(entries) * (symmetry == "general" ? 1 : 2));
+  // The header's entry count is untrusted: reserve at most kMaxReserve up
+  // front and let a short body fail as a truncated entry, not a bad_alloc.
+  constexpr long long kMaxReserve = 1LL << 20;
+  builder.reserve(static_cast<std::size_t>(std::min(entries, kMaxReserve)) *
+                  (symmetry == "general" ? 1 : 2));
   for (long long e = 0; e < entries; ++e) {
     long long i = 0, j = 0;
     real v = 1.0;

@@ -1,13 +1,15 @@
 // Differential serving-stack tests: the batched multi-RHS solves against
 // their single-RHS references (bit-identical for the scalar CSR and
 // distributed paths, tolerance-based for the blocked path), the
-// FactorCache (key discrimination, LRU order, metrics reconciliation,
-// epoch banking across Machine::reset), the seeded traffic generator, the
-// FIFO batching policy, and the shared-factor concurrency contract the
-// tsan preset exists to check.
+// operator fingerprint (equal operators agree, every one-word edit moves
+// it, one pinned value), the FactorCache (key discrimination, LRU order,
+// metrics reconciliation, epoch banking across Machine::reset), the
+// seeded traffic generator, the FIFO batching policy, and the
+// shared-factor concurrency contract the tsan preset exists to check.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -35,7 +37,9 @@
 namespace ptilu {
 namespace {
 
-constexpr int kBatchWidths[] = {1, 2, 4, 8, 13};
+// Every group remainder of the min(8, remaining) grouping, and 8 + k.
+constexpr int kBatchWidths[] = {1,  2,  3,  4,  5,  6,  7,  8, 9,
+                                10, 11, 12, 13, 14, 15, 16, 17};
 
 DistCsr make_dist(const Csr& a, int nranks, std::uint64_t seed = 1) {
   const Graph g = graph_from_pattern(a);
@@ -272,6 +276,76 @@ TEST(FactorCache, KeyDiscriminatesParamsValuesAndVariant) {
   EXPECT_EQ(cache.size(), 7u);
 }
 
+// ---- matrix_fingerprint: equal operators agree, one-word edits move it --
+
+// 3x3 tridiagonal: row_ptr is one 32-byte stripe, col_idx three words and
+// a 4-byte tail, values one stripe and three words.
+Csr tiny_matrix() {
+  Csr a(3, 3);
+  a.row_ptr = {0, 2, 5, 7};
+  a.col_idx = {0, 1, 0, 1, 2, 1, 2};
+  a.values = {4.0, -1.0, -1.0, 4.0, -1.0, -1.0, 4.0};
+  return a;
+}
+
+TEST(MatrixFingerprint, EqualMatricesBuiltApartHashEqual) {
+  EXPECT_EQ(serve::matrix_fingerprint(tiny_matrix()),
+            serve::matrix_fingerprint(tiny_matrix()));
+  const Csr a = workloads::convection_diffusion_2d(12, 12, 8.0, 4.0);
+  const Csr b = workloads::convection_diffusion_2d(12, 12, 8.0, 4.0);
+  EXPECT_EQ(serve::matrix_fingerprint(a), serve::matrix_fingerprint(b));
+}
+
+TEST(MatrixFingerprint, EveryOneWordEditMovesIt) {
+  const Csr grid = workloads::convection_diffusion_2d(12, 12, 8.0, 4.0);
+  for (const Csr& base : {tiny_matrix(), grid}) {
+    const std::uint64_t hash = serve::matrix_fingerprint(base);
+    const auto edited = [&](const auto& edit) {
+      Csr c = base;
+      edit(c);
+      return serve::matrix_fingerprint(c);
+    };
+    // The tiny matrix gets every word edited; the larger the first and last.
+    const bool every = base.n_rows == 3;
+    for (std::size_t i = 0; i < base.row_ptr.size(); ++i) {
+      if (!every && i != 0 && i + 1 != base.row_ptr.size()) continue;
+      EXPECT_NE(edited([&](Csr& c) { c.row_ptr[i] += 1; }), hash) << "row_ptr " << i;
+    }
+    for (std::size_t i = 0; i < base.col_idx.size(); ++i) {
+      if (!every && i != 0 && i + 1 != base.col_idx.size()) continue;
+      EXPECT_NE(edited([&](Csr& c) { c.col_idx[i] ^= 1; }), hash) << "col_idx " << i;
+      EXPECT_NE(edited([&](Csr& c) { c.values[i] = -c.values[i]; }), hash)
+          << "values " << i;
+    }
+    EXPECT_NE(edited([](Csr& c) { c.n_rows += 1; }), hash);
+    EXPECT_NE(edited([](Csr& c) { c.n_cols += 1; }), hash);
+  }
+  // Values hash by bit pattern: +0.0 and -0.0 are different operators.
+  Csr plus = tiny_matrix();
+  plus.values[3] = 0.0;
+  Csr minus = plus;
+  minus.values[3] = -0.0;
+  EXPECT_NE(serve::matrix_fingerprint(plus), serve::matrix_fingerprint(minus));
+}
+
+TEST(MatrixFingerprint, ArrayLengthsAreHashed) {
+  // Move the first value's 8 bytes from the front of `values` to the end
+  // of `col_idx`: the same bytes in the same order, split differently.
+  const Csr a = tiny_matrix();
+  Csr b = a;
+  idx halves[2] = {};
+  std::memcpy(halves, &a.values[0], sizeof(halves));
+  b.col_idx.push_back(halves[0]);
+  b.col_idx.push_back(halves[1]);
+  b.values.erase(b.values.begin());
+  EXPECT_NE(serve::matrix_fingerprint(a), serve::matrix_fingerprint(b));
+}
+
+TEST(MatrixFingerprint, PinnedValue) {
+  // Changing the hash changes every logged fingerprint: do it on purpose.
+  EXPECT_EQ(serve::matrix_fingerprint(tiny_matrix()), 0xc3fe5082c5a05d56ULL);
+}
+
 serve::FactorKey scalar_key(const Csr& a, const IlutOptions& opts) {
   serve::FactorKey key;
   key.matrix = serve::matrix_fingerprint(a);
@@ -459,8 +533,11 @@ TEST(SolveService, SortedSampleEdgeCases) {
 }
 
 TEST(SolveService, ModeledBatchServiceIsSubadditive) {
-  const double s1 = serve::modeled_batch_service_s(1, 1000, 5000, 5000, 40e-9, 5e-9);
-  const double s8 = serve::modeled_batch_service_s(8, 1000, 5000, 5000, 40e-9, 5e-9);
+  serve::BatchCostModel costs =
+      serve::modeled_batch_costs(1000, 0, 5000, 5000, 40e-9, 5e-9);
+  costs.cache_resolve_s = 0.0;  // the service alone, no cache
+  const double s1 = costs.total_s(1);
+  const double s8 = costs.total_s(8);
   EXPECT_GT(s8, s1);        // more work than one solve...
   EXPECT_LT(s8, 8.0 * s1);  // ...but cheaper than eight (factor streamed once)
 }

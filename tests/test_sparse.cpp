@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "ptilu/sparse/csr.hpp"
 #include "ptilu/sparse/dense.hpp"
@@ -341,6 +342,43 @@ TEST(MatrixMarket, RejectsOutOfRangeEntry) {
      << "2 2 1\n"
      << "3 1 1.0\n";
   EXPECT_THROW(read_matrix_market(ss), Error);
+}
+
+// The reader's message for a hostile stream ("" when it parses).
+std::string matrix_market_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    read_matrix_market(ss);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MatrixMarket, RejectsRowCountBeyondIndexType) {
+  const std::string what = matrix_market_error(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "3000000000 2 1\n"
+      "1 1 1.0\n");
+  EXPECT_NE(what.find("exceed the index type"), std::string::npos) << what;
+}
+
+TEST(MatrixMarket, RejectsColumnCountBeyondIndexType) {
+  const std::string what = matrix_market_error(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 2147483648 1\n"
+      "1 1 1.0\n");
+  EXPECT_NE(what.find("exceed the index type"), std::string::npos) << what;
+}
+
+TEST(MatrixMarket, HugeEntryCountWithShortBodyIsTruncated) {
+  // A symmetric header doubles the reservation the count would ask for.
+  const std::string what = matrix_market_error(
+      "%%MatrixMarket matrix coordinate real symmetric\n"
+      "4 4 4000000000000000000\n"
+      "1 1 1.0\n"
+      "2 1 0.5\n");
+  EXPECT_NE(what.find("truncated entry 2"), std::string::npos) << what;
 }
 
 }  // namespace
