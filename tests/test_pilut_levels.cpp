@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "ptilu/dist/distcsr.hpp"
@@ -98,6 +99,14 @@ constexpr Golden kPilutGolden[] = {
     {"g0", 16, 2, 1, 0xd547879dea3b01adULL, 0x1.918e1dbfa27c7p-7, 649, 65, 13887, 494428},
     {"g0", 16, 2, 5, 0x95a7dde12e199fa8ULL, 0x1.4e22eca1d0e1bp-7, 484, 39, 12544, 338108},
 };
+
+// Without this gtest prints the parameter as raw bytes, the matrix name
+// pointer among them, which differ from run to run and so leak into the test
+// names CTest discovers.
+void PrintTo(const Golden& g, std::ostream* os) {
+  *os << g.matrix << " p=" << g.nranks << " cap_k=" << g.cap_k
+      << " rounds=" << g.mis_rounds;
+}
 
 class PilutGolden : public ::testing::TestWithParam<Golden> {};
 
