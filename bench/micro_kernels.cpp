@@ -105,7 +105,7 @@ BENCHMARK(BM_TriangularSolve)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_TriangularSolveBlocked(benchmark::State& state) {
   const Csr a = grid_matrix(static_cast<idx>(state.range(0)));
-  const BlockedFactors f = ilut_blocked(a, {.base = {.m = 10, .tau = 1e-4}});
+  const BlockedFactors f = ilut_blocked(a, {.base = {.m = 10, .tau = 1e-4}, .panels = {}});
   const RealVec b = workloads::random_vector(a.n_rows, 2);
   RealVec x(a.n_rows);
   for (auto _ : state) {

@@ -91,25 +91,12 @@ inline real tile_frob2(int nb, const real* t) {
 // column c is s[c * s_stride] (s_stride = the block's row count n).
 
 /// acc[c] -= a * s[c * s_stride] for c in [0, K) — one CSR entry against K
-/// solution columns, the inner kernel of the distributed batched sweeps
-/// (the serial CSR solves inline it in their fixed-K row loops).
+/// solution columns, the inner kernel of the distributed sweeps, single- and
+/// multi-RHS (the serial CSR solves inline it in their fixed-K row loops).
 template <int K>
 inline void rhs_axpy(real* PTILU_RESTRICT acc, real a, const real* PTILU_RESTRICT s,
                      std::size_t s_stride) {
   for (int c = 0; c < K; ++c) acc[c] -= a * s[c * s_stride];
-}
-
-/// Runtime-width dispatch to the fixed-K instantiations.
-inline void rhs_axpy_any(int k, real* PTILU_RESTRICT acc, real a,
-                         const real* PTILU_RESTRICT s, std::size_t s_stride) {
-  switch (k) {
-    case 8: rhs_axpy<8>(acc, a, s, s_stride); return;
-    case 4: rhs_axpy<4>(acc, a, s, s_stride); return;
-    case 2: rhs_axpy<2>(acc, a, s, s_stride); return;
-    case 1: rhs_axpy<1>(acc, a, s, s_stride); return;
-    default:
-      for (int c = 0; c < k; ++c) acc[c] -= a * s[c * s_stride];
-  }
 }
 
 /// The nb x k tile kernel: subtract an nb-wide factor-column tile times K

@@ -96,7 +96,7 @@ GmresResult gmres_dist(sim::Machine& machine, const DistCsr& dist, const Halo& h
   // scatter into/out of the new numbering is rank-local copy work).
   const auto compute_residual = [&]() {
     sim::ScopedPhase span(machine, "residual");
-    dist_spmv(machine, dist, halo, RealVec(x.begin(), x.end()), ax);
+    dist_spmv(machine, dist, halo, x, ax);
     machine.step([&](sim::RankContext& ctx) {
       const int rank = ctx.rank();
       for (const idx i : dist.owned_rows[rank]) {

@@ -1,5 +1,5 @@
 // Fixture: a helper whose callers are always phased — the idiom
-// src/pilut/trisolve_dist.cpp's ship_values/drain_ghosts use.
+// src/pilut/trisolve_dist.cpp's post/drain helpers use.
 #include "ptilu/sim/machine.hpp"
 
 // Callers invoke this inside their own ScopedPhase scopes.

@@ -73,7 +73,9 @@ TEST(Supernodes, SlackWidensPanels) {
   for (const real slack : {0.0, 0.5, 1.0, 2.0, 4.0}) {
     const IdxVec starts = detect_panels(a, {.max_panel = 4, .slack = slack});
     const real panels = static_cast<real>(starts.size());
-    if (!first) EXPECT_LE(panels, prev_panels) << "slack " << slack;
+    if (!first) {
+      EXPECT_LE(panels, prev_panels) << "slack " << slack;
+    }
     prev_panels = panels;
     first = false;
   }
@@ -249,7 +251,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(BlockedCase{"tight", 0.0, 4}, BlockedCase{"mid", 1.5, 4},
                       BlockedCase{"loose", 3.0, 4}, BlockedCase{"wide8", 2.0, 8},
                       BlockedCase{"scalar_width", 0.0, 1}),
-    [](const ::testing::TestParamInfo<BlockedCase>& info) { return info.param.name; });
+    [](const ::testing::TestParamInfo<BlockedCase>& param) { return param.param.name; });
 
 TEST(BlockedIlut, ScalarWidthPanelsMatchScalarStructure) {
   // max_panel = 1 makes every panel a single row: block dropping degenerates
