@@ -31,6 +31,20 @@ TEST(DistCsr, OwnershipCoversAllRows) {
   EXPECT_EQ(total, a.n_rows);
 }
 
+// A matrix from a builder that reserved room for every triplet keeps no
+// slack once a distribution holds it.
+TEST(DistCsr, HoldsMatrixWithoutBuilderSlack) {
+  CooBuilder b(4, 4);
+  for (idx i = 0; i < 4; ++i) {
+    for (int t = 0; t < 25; ++t) b.add(i, i, 1.0);
+  }
+  const DistCsr dist = make_dist(b.to_csr(), 2);
+  EXPECT_EQ(dist.a.nnz(), 4);
+  EXPECT_DOUBLE_EQ(dist.a.at(3, 3), 25.0);
+  EXPECT_EQ(dist.a.col_idx.capacity(), dist.a.col_idx.size());
+  EXPECT_EQ(dist.a.values.capacity(), dist.a.values.size());
+}
+
 TEST(DistCsr, InteriorNodesHaveOnlyLocalNeighbors) {
   const Csr a = workloads::convection_diffusion_2d(20, 20);
   const DistCsr dist = make_dist(a, 4);
