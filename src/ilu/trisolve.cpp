@@ -36,18 +36,20 @@ void backward_solve(const Csr& u, std::span<const real> y, std::span<real> x) {
 }
 
 void ilu_apply(const IluFactors& factors, std::span<const real> b, std::span<real> x) {
-  RealVec y(factors.n());
-  forward_solve(factors.l, b, y);
-  backward_solve(factors.u, y, x);
+  // No n-vector scratch: row i of the backward sweep reads y[i] before it
+  // writes x[i], and otherwise only rows already solved, so it runs in
+  // place on the forward result.
+  forward_solve(factors.l, b, x);
+  backward_solve(factors.u, x, x);
 }
 
 void ilu_apply_permuted(const IluFactors& factors, const IdxVec& new_of,
                         std::span<const real> b, std::span<real> x) {
   const idx n = factors.n();
   PTILU_CHECK(new_of.size() == static_cast<std::size_t>(n), "permutation size mismatch");
-  RealVec pb(n), px(n);
-  for (idx i = 0; i < n; ++i) pb[new_of[i]] = b[i];
-  ilu_apply(factors, pb, px);
+  RealVec px(n);
+  for (idx i = 0; i < n; ++i) px[new_of[i]] = b[i];
+  ilu_apply(factors, px, px);  // both sweeps run in place
   for (idx i = 0; i < n; ++i) x[i] = px[new_of[i]];
 }
 
@@ -102,9 +104,10 @@ void backward_solve(const BlockedFactors& f, std::span<const real> y, std::span<
 }
 
 void ilu_apply(const BlockedFactors& f, std::span<const real> b, std::span<real> x) {
-  RealVec y(f.n);
-  forward_solve(f, b, y);
-  backward_solve(f, y, x);
+  // In place like the scalar apply: each panel loads its y rows into the
+  // accumulators before writing its x rows.
+  forward_solve(f, b, x);
+  backward_solve(f, x, x);
 }
 
 namespace {

@@ -16,7 +16,7 @@ IdxVec heavy_edge_matching(const Graph& g, Rng& rng) {
 
   IdxVec match(g.n);
   std::iota(match.begin(), match.end(), 0);
-  std::vector<bool> matched(g.n, false);
+  std::vector<std::uint8_t> matched(g.n, 0);
   for (const idx v : order) {
     if (matched[v]) continue;
     idx best = -1;
@@ -29,9 +29,9 @@ IdxVec heavy_edge_matching(const Graph& g, Rng& rng) {
         best = u;
       }
     }
-    matched[v] = true;
+    matched[v] = 1;
     if (best >= 0) {
-      matched[best] = true;
+      matched[best] = 1;
       match[v] = best;
       match[best] = v;
     }
@@ -58,27 +58,35 @@ CoarseResult contract(const Graph& g, const IdxVec& match) {
   for (idx v = 0; v < g.n; ++v) c.vwgt[result.cmap[v]] += g.vwgt[v];
 
   // Accumulate coarse edges with a per-coarse-vertex dense scratch keyed by
-  // neighbor coarse id (reset lazily via a stamp array).
+  // neighbor coarse id (reset lazily via a stamp array). Coarse vertex cv
+  // holds the fine vertex v that took its number and, if matched, its
+  // partner match[v] > v; their edges are gathered in that order. The
+  // coarse graph has at most as many edges as the fine one, so its arrays
+  // are reserved once.
   IdxVec stamp(coarse_n, -1);
   IdxVec weight_at(coarse_n, 0);
-  std::vector<IdxVec> fine_of(coarse_n);
-  for (idx v = 0; v < g.n; ++v) fine_of[result.cmap[v]].push_back(v);
-
+  c.adjncy.reserve(g.adjncy.size());
+  c.ewgt.reserve(g.adjncy.size());
   std::vector<std::pair<idx, idx>> row;  // (neighbor, weight)
-  for (idx cv = 0; cv < coarse_n; ++cv) {
-    row.clear();
-    for (const idx v : fine_of[cv]) {
-      for (nnz_t k = g.xadj[v]; k < g.xadj[v + 1]; ++k) {
-        const idx cu = result.cmap[g.adjncy[k]];
-        if (cu == cv) continue;  // internal edge collapses away
-        if (stamp[cu] != cv) {
-          stamp[cu] = cv;
-          weight_at[cu] = 0;
-          row.emplace_back(cu, 0);
-        }
-        weight_at[cu] += g.ewgt[k];
+  idx cv = -1;
+  const auto gather = [&](idx v) {
+    for (nnz_t k = g.xadj[v]; k < g.xadj[v + 1]; ++k) {
+      const idx cu = result.cmap[g.adjncy[k]];
+      if (cu == cv) continue;  // internal edge collapses away
+      if (stamp[cu] != cv) {
+        stamp[cu] = cv;
+        weight_at[cu] = 0;
+        row.emplace_back(cu, 0);
       }
+      weight_at[cu] += g.ewgt[k];
     }
+  };
+  for (idx v = 0; v < g.n; ++v) {
+    if (match[v] < v) continue;  // visited with its partner
+    cv = result.cmap[v];
+    row.clear();
+    gather(v);
+    if (match[v] != v) gather(match[v]);
     std::sort(row.begin(), row.end());
     for (auto& [cu, w] : row) {
       w = weight_at[cu];
@@ -87,6 +95,8 @@ CoarseResult contract(const Graph& g, const IdxVec& match) {
     }
     c.xadj[cv + 1] = static_cast<nnz_t>(c.adjncy.size());
   }
+  c.adjncy.shrink_to_fit();
+  c.ewgt.shrink_to_fit();
   return result;
 }
 

@@ -2,6 +2,10 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <utility>
 
 #include "ptilu/dist/distcsr.hpp"
 #include "ptilu/ilu/factor_scratch.hpp"
@@ -9,6 +13,7 @@
 #include "ptilu/ilu/pivot.hpp"
 #include "ptilu/ilu/working_row.hpp"
 #include "ptilu/pilut/pilut.hpp"
+#include "ptilu/sim/machine.hpp"
 #include "ptilu/sim/metrics.hpp"
 #include "ptilu/support/check.hpp"
 
@@ -47,20 +52,146 @@ struct FactorCounters {
 /// collector (idempotent; null-metrics carrier when collection is off).
 FactorCounters factor_counters(sim::Machine& machine);
 
-/// Shared state of a parallel factorization, indexed by ORIGINAL row ids.
-/// Rank bodies write only slots they own, so concurrent ranks never touch
-/// the same element — which is also why `factored` is a byte vector, not
-/// std::vector<bool>: adjacent bits of a packed bitmap share a word, and
-/// rank-disjoint writes would still race under the threaded backend.
-struct FactorState {
-  std::vector<SparseRow> lrows;  // final L rows (factored columns, orig ids)
-  std::vector<SparseRow> urows;  // final U rows (diag first, orig ids)
-  RealVec udiag;
-  std::vector<SparseRow> tails;  // reduced-matrix rows of unfactored interface rows
-  std::vector<std::uint8_t> factored;
+/// A read-only view of one stored row.
+struct RowView {
+  std::span<const idx> cols;
+  std::span<const real> vals;
 
-  explicit FactorState(idx n)
-      : lrows(n), urows(n), udiag(n, 0.0), tails(n), factored(n, 0) {}
+  std::size_t size() const { return cols.size(); }
+};
+
+/// Finished factor rows, each stored once, where the rank that finished it
+/// keeps it. Every rank appends its rows to its own arrays, which only grow,
+/// in chunks of kChunk entries (a longer row gets a chunk of its own): no
+/// row spans two chunks, and a stored row never moves. A row is found by its
+/// (rank, chunk, offset, length) locator. A rank body appends only to its
+/// own rank's chunks and writes only its own rows' locators, so the threaded
+/// backend needs no lock; rows of another rank are read only after a
+/// superstep boundary (as messages) or after the factorization.
+class RowStore {
+ public:
+  static constexpr std::uint32_t kChunk = 1024;
+
+  RowStore(idx n, int nranks)
+      : where_(static_cast<std::size_t>(n)), chunks_(static_cast<std::size_t>(nranks)) {}
+
+  /// Store row i, finished by rank r.
+  void put(int r, idx i, const SparseRow& row);
+  /// Store U row i, finished by rank r: its diagonal first, then `upper`.
+  void put_diag_first(int r, idx i, real diag, const SparseRow& upper);
+
+  RowView row(idx i) const {
+    const Locator& at = where_[static_cast<std::size_t>(i)];
+    if (at.len == 0) return {};
+    const Chunk& chunk = chunks_[static_cast<std::size_t>(at.rank)][at.chunk];
+    return {{chunk.cols.get() + at.offset, at.len},
+            {chunk.vals.get() + at.offset, at.len}};
+  }
+  std::size_t row_size(idx i) const { return where_[static_cast<std::size_t>(i)].len; }
+
+  /// Free every row and locator.
+  void release() {
+    std::vector<Locator>().swap(where_);
+    std::vector<std::vector<Chunk>>().swap(chunks_);
+  }
+
+ private:
+  struct Chunk {
+    std::unique_ptr<idx[]> cols;
+    std::unique_ptr<real[]> vals;
+    std::uint32_t used = 0;
+    std::uint32_t cap = 0;
+  };
+  struct Locator {
+    std::int32_t rank = 0;
+    std::uint32_t chunk = 0;
+    std::uint32_t offset = 0;
+    std::uint32_t len = 0;
+  };
+  /// Room for row i's `len` entries at the end of rank r's arrays.
+  std::pair<idx*, real*> open(int r, idx i, std::size_t len);
+
+  std::vector<Locator> where_;             // by row
+  std::vector<std::vector<Chunk>> chunks_;  // by rank
+};
+
+/// Shared state of a parallel factorization. Finished rows live in the
+/// row stores, indexed by ORIGINAL row id. An interface row's reduced row
+/// (its tail) and the L part it gathers level by level change until the row
+/// is factored; they are indexed by interface number, and the row frees
+/// both once it is factored. Rank bodies write only rows they own (or, in
+/// the nested variant, host), so concurrent ranks never touch the same
+/// element.
+struct FactorState {
+  RowStore l;                     // final L rows (factored columns, orig ids)
+  RowStore u;                     // final U rows (diag first, orig ids)
+  IdxVec iface_of;                // row -> interface number, -1 for interior rows
+  std::vector<SparseRow> tails;   // by interface number: unfactored reduced rows
+  std::vector<SparseRow> lparts;  // by interface number: their L parts so far
+
+  explicit FactorState(const DistCsr& dist);
+  idx interface_count() const { return static_cast<idx>(tails.size()); }
+};
+
+/// A column -> position-in-row map over interface numbers, emptied per row
+/// by an epoch bump (the whole array is reset once every 2^32 rows).
+class PositionMap {
+ public:
+  explicit PositionMap(idx n) : slots_(static_cast<std::size_t>(n)) {}
+
+  void clear() {
+    if (++epoch_ == 0) {
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      epoch_ = 1;
+    }
+  }
+  /// Position of column c, or -1 when the row does not hold it.
+  idx find(idx c) const {
+    const Slot& slot = slots_[static_cast<std::size_t>(c)];
+    return slot.epoch == epoch_ ? slot.pos : -1;
+  }
+  void set(idx c, idx pos) { slots_[static_cast<std::size_t>(c)] = {epoch_, pos}; }
+
+ private:
+  struct Slot {  // stamp and position side by side: one load per lookup
+    std::uint32_t epoch = 0;
+    idx pos = -1;
+  };
+  std::vector<Slot> slots_;
+  std::uint32_t epoch_ = 1;
+};
+
+/// Message tags of the U-row exchange (pilut's level loop, pilu0's classes).
+constexpr int kTagUReq = 10;
+constexpr int kTagUCols = 11;
+constexpr int kTagUVals = 12;
+
+/// One lane's side of the U-row exchange. reply() answers every request
+/// received with the rows from the store: per request message one column
+/// payload (row, length, columns of each row) and one value payload.
+/// receive() decodes this superstep's replies, and row() then reads a
+/// received row in place, found by interface number. Each receive() drops
+/// the rows of the previous one.
+class RemoteURows {
+ public:
+  explicit RemoteURows(idx n_iface) : slot_(static_cast<std::size_t>(n_iface), -1) {}
+
+  void reply(sim::RankContext& ctx, const RowStore& u);
+  void receive(const std::vector<sim::Message>& messages, const IdxVec& iface_of);
+  /// Received U row k, whose interface number is f.
+  RowView row(idx k, idx f) const {
+    const idx slot = slot_[static_cast<std::size_t>(f)];
+    PTILU_CHECK(slot >= 0, "missing remote U row " << k);
+    return views_[static_cast<std::size_t>(slot)];
+  }
+
+ private:
+  IdxVec requested_;        // reply: decoded request
+  IdxVec cols_;             // decoded (or outgoing) column payloads
+  RealVec vals_;            // decoded (or outgoing) value payloads
+  IdxVec slot_;             // interface number -> index into views_, or -1
+  std::vector<RowView> views_;
+  IdxVec bound_;            // interface numbers whose slot_ is set
 };
 
 /// Per-lane working storage for rank bodies. Sequential backend: one lane,
@@ -99,7 +230,8 @@ std::uint64_t eliminate_cascading(WorkingRow& w, FactorState& state, real tau_i,
   std::uint64_t flops = 0;
   while (!heap.empty()) {
     const idx k = heap.pop();
-    const real multiplier = w.value(k) / state.udiag[k];
+    const RowView urow = state.u.row(k);
+    const real multiplier = w.value(k) / urow.vals[0];  // diag stored first
     ++flops;
     if (std::abs(multiplier) < tau_i) {  // 1st dropping rule
       w.set(k, 0.0);
@@ -107,7 +239,6 @@ std::uint64_t eliminate_cascading(WorkingRow& w, FactorState& state, real tau_i,
       continue;
     }
     w.set(k, multiplier);
-    const SparseRow& urow = state.urows[k];
     // The update loop below skips the stored diagonal, so charge only the
     // strictly-upper entries (2 flops each) — keeps the simulated Mflop
     // rate in agreement with the serial ilut() accounting.
@@ -125,16 +256,6 @@ std::uint64_t eliminate_cascading(WorkingRow& w, FactorState& state, real tau_i,
     }
   }
   return flops;
-}
-
-/// Materialize a final U row diagonal-first from its selected off-diagonal
-/// part, reserving the exact size up front (no insert-at-front shuffle).
-inline void emit_urow(SparseRow& urow, idx i, real diag, const SparseRow& upper) {
-  urow.cols.reserve(upper.size() + 1);
-  urow.vals.reserve(upper.size() + 1);
-  urow.push(i, diag);
-  urow.cols.insert(urow.cols.end(), upper.cols.begin(), upper.cols.end());
-  urow.vals.insert(urow.vals.end(), upper.vals.begin(), upper.vals.end());
 }
 
 /// Phase 1 of every parallel factorization: each rank ILUT-factors its
@@ -155,10 +276,9 @@ void run_initial_reduction(sim::Machine& machine, const DistCsr& dist,
 /// Finalize stats fields from the machine counters.
 void finish_stats(const sim::Machine& machine, PilutStats& stats);
 
-/// Renumber per-original-row factor rows into the new ordering and build
-/// the final CSR factors (L strictly lower sorted, U diag-first sorted).
-void assemble_factors(const std::vector<SparseRow>& lrows,
-                      const std::vector<SparseRow>& urows, const IdxVec& newnum,
-                      IluFactors& out);
+/// Renumber the stored rows into the new ordering and write them straight
+/// into the final CSR factors (L strictly lower sorted, U diag-first
+/// sorted). Each store is emptied once its factor is written.
+void assemble_factors(FactorState& state, const IdxVec& newnum, IluFactors& out);
 
 }  // namespace ptilu::pilut_detail

@@ -1,7 +1,6 @@
 #include "ptilu/pilut/pilu0.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "detail.hpp"
 #include "ptilu/dist/mis_dist.hpp"
@@ -13,11 +12,8 @@ namespace ptilu {
 
 namespace {
 
-constexpr int kTagUReq = 10;
-constexpr int kTagUCols = 11;
-constexpr int kTagUVals = 12;
-
 using pilut_detail::Lane;
+using pilut_detail::RowView;
 
 }  // namespace
 
@@ -50,8 +46,7 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
   sched.n_interior = next_num;
   stats.interface_nodes = n - next_num;
 
-  std::vector<SparseRow> lrows(n), urows(n);
-  RealVec udiag(n, 0.0);
+  pilut_detail::FactorState state(dist);  // only the row stores and iface_of are used
   // Per-lane scratch: one lane sequentially, one per rank when threaded
   // (see pilut_detail::Lane).
   std::vector<Lane> lanes = pilut_detail::make_lanes(machine, n);
@@ -72,7 +67,7 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
     }
     if (!diag_present) w.insert(i, 0.0);
     for (const idx k : factored_cols) {
-      const SparseRow& urow = urow_of(k);
+      const RowView urow = urow_of(k);
       const real multiplier = w.value(k) / urow.vals[0];
       ++flops;
       w.set(k, multiplier);
@@ -90,11 +85,12 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
     return flops;
   };
 
-  const auto split_row = [&](Lane& lane, idx i, const auto& is_factored,
+  const auto split_row = [&](Lane& lane, int r, idx i, const auto& is_factored,
                              pilut_detail::FillDropTally& tally) {
     WorkingRow& w = lane.w;
-    SparseRow& lrow = lrows[i];
-    SparseRow& upper = lane.scratch.ustage;  // pooled staging for the U part
+    SparseRow& lrow = lane.scratch.lstage;   // pooled staging for the L part
+    SparseRow& upper = lane.scratch.ustage;  // and for the U part
+    lrow.clear();
     upper.clear();
     real diag = 0.0;
     for (const idx c : w.touched()) {
@@ -109,8 +105,8 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
     diag = safeguard_pivot(i, diag,
                            opts.pivot_rel > 0.0 ? opts.pivot_rel * norms[i] : 0.0,
                            tally.guarded);
-    udiag[i] = diag;
-    pilut_detail::emit_urow(urows[i], i, diag, upper);
+    state.l.put(r, i, lrow);
+    state.u.put_diag_first(r, i, diag, upper);
     w.clear();
   };
 
@@ -133,8 +129,8 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
         if (c < i && !dist.interface[c]) factored_cols.push_back(c);
       }
       flops += factor_row(lane, i, factored_cols,
-                          [&](idx k) -> const SparseRow& { return urows[k]; }, tally);
-      split_row(lane, i, [&](idx c) { return c < i && !dist.interface[c]; }, tally);
+                          [&](idx k) { return state.u.row(k); }, tally);
+      split_row(lane, r, i, [&](idx c) { return c < i && !dist.interface[c]; }, tally);
     }
     ctx.charge_flops(flops);
     lane.pivots_guarded += tally.guarded;
@@ -237,17 +233,17 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
 
   // ================== Factor the interface rows class by class ============
   std::vector<std::uint8_t> factored_interface(n, 0);
+  std::vector<std::uint8_t> in_class(n, 0);
+  std::vector<pilut_detail::RemoteURows> remote_lanes(
+      static_cast<std::size_t>(machine.scratch_lanes()),
+      pilut_detail::RemoteURows(state.interface_count()));
   sim::ScopedPhase interface_phase(machine, "factor/interface");
   for (const auto& cls : classes) {
-    std::vector<std::uint8_t> in_class(n, 0);
     for (const idx v : cls) in_class[v] = 1;
 
     // Exchange the remote U rows this class's eliminations need: row i in
     // the class references factored interface columns (pattern-static, so
     // requests are known a priori).
-    // Keyed lookups only — never iterated, so hash order cannot leak into
-    // modeled output.
-    std::vector<std::unordered_map<idx, SparseRow>> remote_urows(nranks);
     {
     sim::ScopedPhase span(machine, "exchange");
     machine.step([&](sim::RankContext& ctx) {
@@ -267,58 +263,25 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
         if (rows.empty()) continue;
         std::sort(rows.begin(), rows.end());
         rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-        ctx.send_indices(peer, kTagUReq, rows);
+        ctx.send_indices(peer, pilut_detail::kTagUReq, rows);
       }
     }, "pilu0/exchange/request");
     machine.step([&](sim::RankContext& ctx) {
-      IdxVec requested, cols_payload;
-      RealVec vals_payload;
-      for (const sim::Message& msg : ctx.recv_all()) {
-        PTILU_CHECK(msg.tag == kTagUReq, "unexpected message in PILU0 exchange");
-        requested.clear();
-        sim::decode_indices_append(msg, requested);
-        cols_payload.clear();
-        vals_payload.clear();
-        for (const idx row : requested) {
-          const SparseRow& urow = urows[row];
-          cols_payload.push_back(row);
-          cols_payload.push_back(static_cast<idx>(urow.size()));
-          cols_payload.insert(cols_payload.end(), urow.cols.begin(), urow.cols.end());
-          vals_payload.insert(vals_payload.end(), urow.vals.begin(), urow.vals.end());
-        }
-        ctx.send_indices(msg.from, kTagUCols, cols_payload);
-        ctx.send_reals(msg.from, kTagUVals, vals_payload);
-      }
+      remote_lanes[static_cast<std::size_t>(ctx.lane())].reply(ctx, state.u);
     }, "pilu0/exchange/reply");
     }
     {
     sim::ScopedPhase span(machine, "factor");
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
-      IdxVec cols_payload;
-      RealVec vals_payload;
-      for (const sim::Message& msg : ctx.recv_all()) {
-        if (msg.tag == kTagUCols) {
-          sim::decode_indices_append(msg, cols_payload);
-        } else {
-          sim::decode_reals_append(msg, vals_payload);
-        }
-      }
-      std::size_t vpos = 0;
-      for (std::size_t p = 0; p < cols_payload.size();) {
-        const idx row = cols_payload[p++];
-        const idx len = cols_payload[p++];
-        SparseRow& urow = remote_urows[r][row];
-        urow.cols.assign(cols_payload.begin() + p, cols_payload.begin() + p + len);
-        urow.vals.assign(vals_payload.begin() + vpos, vals_payload.begin() + vpos + len);
-        p += len;
-        vpos += len;
-      }
-      const auto urow_of = [&](idx k) -> const SparseRow& {
-        if (dist.owner[k] == r) return urows[k];
-        const auto it = remote_urows[r].find(k);
-        PTILU_CHECK(it != remote_urows[r].end(), "missing remote U row " << k);
-        return it->second;
+      // The received rows are read in place from the decoded payloads,
+      // found through an interface-number -> view slot map.
+      pilut_detail::RemoteURows& remote =
+          remote_lanes[static_cast<std::size_t>(ctx.lane())];
+      remote.receive(ctx.recv_all(), state.iface_of);
+      const auto urow_of = [&](idx k) -> RowView {
+        if (dist.owner[k] == r) return state.u.row(k);
+        return remote.row(k, state.iface_of[k]);
       };
 
       Lane& lane = lanes[static_cast<std::size_t>(ctx.lane())];
@@ -339,7 +302,7 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
           return sched.newnum[x] < sched.newnum[y];
         });
         flops += factor_row(lane, i, factored_cols, urow_of, tally);
-        split_row(lane, i, [&](idx c) {
+        split_row(lane, r, i, [&](idx c) {
           return !dist.interface[c] || factored_interface[c];
         }, tally);
       }
@@ -348,23 +311,20 @@ PilutResult pilu0_factor(sim::Machine& machine, const DistCsr& dist,
       counters.commit(r, tally);
     }, "pilu0/factor_class");
     }
-    for (const idx v : cls) factored_interface[v] = 1;
+    for (const idx v : cls) {
+      factored_interface[v] = 1;
+      in_class[v] = 0;
+    }
   }
   machine.check_quiescent("pilu0/end");
 
   pilut_detail::merge_lane_stats(lanes, stats);
-  stats.time_interface = machine.modeled_time() - stats.time_interior;
-  stats.time_total = machine.modeled_time();
-  const auto totals = machine.total_counters();
-  stats.flops = totals.flops;
-  stats.bytes_sent = totals.bytes_sent;
-  stats.messages = totals.messages_sent;
-  stats.supersteps = machine.supersteps();
+  pilut_detail::finish_stats(machine, stats);
 
   sched.orig_of = invert_permutation(sched.newnum);
   sched.owner_new.resize(n);
   for (idx i = 0; i < n; ++i) sched.owner_new[sched.newnum[i]] = dist.owner[i];
-  pilut_detail::assemble_factors(lrows, urows, sched.newnum, result.factors);
+  pilut_detail::assemble_factors(state, sched.newnum, result.factors);
   result.factors.validate();
   sched.validate();
   return result;

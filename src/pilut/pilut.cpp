@@ -6,7 +6,6 @@
 #include "detail.hpp"
 #include "reduced_graph.hpp"
 #include "ptilu/dist/mis_dist.hpp"
-#include "ptilu/ilu/working_row.hpp"
 #include "ptilu/sim/trace.hpp"
 #include "ptilu/support/check.hpp"
 
@@ -14,12 +13,9 @@ namespace ptilu {
 
 namespace {
 
-constexpr int kTagUReq = 10;
-constexpr int kTagUCols = 11;
-constexpr int kTagUVals = 12;
-
 using pilut_detail::FactorState;
 using pilut_detail::Lane;
+using pilut_detail::RowView;
 
 /// Per-lane per-level working structures (see pilut_detail::Lane for the
 /// lane model). Hoisted out of the level loop so their nested buffers keep
@@ -32,17 +28,14 @@ struct LevelLane {
   std::vector<IdxVec> requests;     // exchange: peer -> requested U rows
   IdxVec elim_ptr;                  // reduce: active position -> slice of elim_all
   IdxVec elim_all;                  // reduce: every row's I_l columns
-  // Received remote U rows, pooled: a dense row -> slot map plus a slab of
-  // reusable SparseRows (assign() keeps their capacity level over level).
-  IdxVec remote_slot;
-  std::vector<SparseRow> remote_pool;
-  IdxVec remote_rows;  // rows whose remote_slot is currently set
-  IdxVec ucols_buf;    // reduce: concatenated U-row column payloads
-  RealVec uvals_buf;   // reduce: concatenated U-row value payloads
+  pilut_detail::RemoteURows remote;  // exchange/reduce: U rows of other ranks
   IdxVec elim_cols;    // reduce: this row's I_l columns
+  IdxVec elim_pos;     // reduce: their positions in the row's tail
+  pilut_detail::PositionMap at;  // reduce: tail column -> position in the tail
+  IdxVec uncapped;     // reduce: a capped row's columns before the cap
 
-  LevelLane(int nranks, idx n)
-      : reverse_out(nranks), requests(nranks), remote_slot(n, -1) {}
+  LevelLane(int nranks, idx n_iface)
+      : reverse_out(nranks), requests(nranks), remote(n_iface), at(n_iface) {}
 };
 
 }  // namespace
@@ -79,7 +72,8 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
   sched.nranks = nranks;
   sched.newnum.assign(n, -1);
 
-  FactorState state(n);
+  FactorState state(dist);
+  const IdxVec& iface_of = state.iface_of;
   // Per-lane scratch: one lane sequentially (reused across ranks, cleared
   // between rows — the seed behavior), one per rank when threaded.
   std::vector<Lane> lanes = pilut_detail::make_lanes(machine, n);
@@ -93,14 +87,16 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
 
   // The reduced matrix's graph, kept across levels (reduced_graph.hpp),
   // and the per-level view of it that mis_dist walks.
-  pilut_detail::ReducedGraph reduced(dist, machine.scratch_lanes());
+  pilut_detail::ReducedGraph reduced(dist, iface_of, machine.scratch_lanes());
   DistGraph graph;
   graph.n_global = n;
   graph.owner = &dist.owner;
   graph.parts.resize(nranks);
   std::vector<LevelLane> level_lanes;
   level_lanes.reserve(static_cast<std::size_t>(machine.scratch_lanes()));
-  for (int i = 0; i < machine.scratch_lanes(); ++i) level_lanes.emplace_back(nranks, n);
+  for (int i = 0; i < machine.scratch_lanes(); ++i) {
+    level_lanes.emplace_back(nranks, state.interface_count());
+  }
 
   // ================= Phase 2: iterative interface factorization ===========
   std::vector<IdxVec> active(nranks);  // per rank: unfactored interface rows
@@ -151,7 +147,8 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
     long long edges = 0;
     for (const DistGraph::Part& part : graph.parts) edges += static_cast<long long>(part.entries);
     if (machine.checking()) {
-      pilut_detail::check_against_rebuild(dist, active, state.tails, graph, edges);
+      pilut_detail::check_against_rebuild(dist, iface_of, active, state.tails, graph,
+                                          edges);
     }
 
     // --- Choose the independent set I_l.
@@ -197,7 +194,8 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
       for (const idx v : active[r]) {
         if (!in_set[v]) continue;
         const real tau_v = opts.tau * norms[v];
-        SparseRow& tail = state.tails[v];
+        const idx f = iface_of[v];
+        SparseRow& tail = state.tails[f];
         SparseRow& ustage = scratch.ustage;
         ustage.clear();
         real diag = 0.0;
@@ -215,11 +213,11 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
         diag = safeguard_pivot(v, diag,
                                opts.pivot_rel > 0.0 ? opts.pivot_rel * norms[v] : 0.0,
                                tally.guarded);
-        state.udiag[v] = diag;
-        pilut_detail::emit_urow(state.urows[v], v, diag, ustage);
-        state.factored[v] = true;
+        state.u.put_diag_first(r, v, diag, ustage);
+        state.l.put(r, v, state.lparts[f]);
         reduced.retire_row(r, v, tail);
-        tail.clear();
+        tail = SparseRow{};  // the row is finished: free its working storage
+        state.lparts[f] = SparseRow{};
       }
       ctx.charge_flops(flops);
       lane.pivots_guarded += tally.guarded;
@@ -244,31 +242,12 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
       for (int peer = 0; peer < nranks; ++peer) {
         IdxVec& rows = requests[peer];
         if (rows.empty()) continue;
-        ctx.send_indices(peer, kTagUReq, rows);
+        ctx.send_indices(peer, pilut_detail::kTagUReq, rows);
         rows.clear();
       }
     }, "pilut/exchange/request");
     machine.step([&](sim::RankContext& ctx) {
-      LevelLane& ll = level_lanes[static_cast<std::size_t>(ctx.lane())];
-      IdxVec& requested = ll.elim_cols;  // idle here; reused as decode scratch
-      IdxVec& cols_payload = ll.ucols_buf;
-      RealVec& vals_payload = ll.uvals_buf;
-      for (const sim::Message& msg : ctx.recv_all()) {
-        PTILU_CHECK(msg.tag == kTagUReq, "unexpected message during U exchange");
-        requested.clear();
-        sim::decode_indices_append(msg, requested);
-        cols_payload.clear();
-        vals_payload.clear();
-        for (const idx row : requested) {
-          const SparseRow& urow = state.urows[row];
-          cols_payload.push_back(row);
-          cols_payload.push_back(static_cast<idx>(urow.size()));
-          cols_payload.insert(cols_payload.end(), urow.cols.begin(), urow.cols.end());
-          vals_payload.insert(vals_payload.end(), urow.vals.begin(), urow.vals.end());
-        }
-        ctx.send_indices(msg.from, kTagUCols, cols_payload);
-        ctx.send_reals(msg.from, kTagUVals, vals_payload);
-      }
+      level_lanes[static_cast<std::size_t>(ctx.lane())].remote.reply(ctx, state.u);
     }, "pilut/exchange/reply");
     }
 
@@ -280,47 +259,13 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
       const int r = ctx.rank();
       Lane& lane = lanes[static_cast<std::size_t>(ctx.lane())];
       LevelLane& ll = level_lanes[static_cast<std::size_t>(ctx.lane())];
-      WorkingRow& w = lane.w;
       FactorScratch& scratch = lane.scratch;
-      IdxVec& remote_slot = ll.remote_slot;
-      std::vector<SparseRow>& remote_pool = ll.remote_pool;
-      IdxVec& remote_rows = ll.remote_rows;
+      pilut_detail::PositionMap& at = ll.at;
       IdxVec& elim_cols = ll.elim_cols;
-      // Release this lane's previous remote-row bindings, then reassemble
-      // this rank's received rows into pooled slots.
-      for (const idx row : remote_rows) remote_slot[row] = -1;
-      remote_rows.clear();
-      IdxVec& cols_payload = ll.ucols_buf;
-      RealVec& vals_payload = ll.uvals_buf;
-      cols_payload.clear();
-      vals_payload.clear();
-      for (const sim::Message& msg : ctx.recv_all()) {
-        if (msg.tag == kTagUCols) {
-          sim::decode_indices_append(msg, cols_payload);
-        } else {
-          PTILU_CHECK(msg.tag == kTagUVals, "unexpected tag in U exchange");
-          sim::decode_reals_append(msg, vals_payload);
-        }
-      }
-      std::size_t vpos = 0;
-      for (std::size_t p = 0; p < cols_payload.size();) {
-        const idx row = cols_payload[p++];
-        const idx len = cols_payload[p++];
-        const idx slot = static_cast<idx>(remote_rows.size());
-        if (static_cast<std::size_t>(slot) == remote_pool.size()) remote_pool.emplace_back();
-        SparseRow& urow = remote_pool[slot];
-        urow.cols.assign(cols_payload.begin() + p, cols_payload.begin() + p + len);
-        urow.vals.assign(vals_payload.begin() + vpos, vals_payload.begin() + vpos + len);
-        remote_slot[row] = slot;
-        remote_rows.push_back(row);
-        p += len;
-        vpos += len;
-      }
-
-      const auto urow_of = [&](idx k) -> const SparseRow& {
-        if (dist.owner[k] == r) return state.urows[k];
-        PTILU_CHECK(remote_slot[k] >= 0, "missing remote U row " << k);
-        return remote_pool[remote_slot[k]];
+      ll.remote.receive(ctx.recv_all(), iface_of);
+      const auto urow_of = [&](idx k) -> RowView {
+        if (dist.owner[k] == r) return state.u.row(k);
+        return ll.remote.row(k, iface_of[k]);
       };
 
       std::uint64_t flops = 0, copied = 0;
@@ -335,68 +280,85 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
           reduced.keep_row(r, pos);
           continue;
         }
-        SparseRow& tail = state.tails[i];
+        const idx fi = iface_of[i];
+        SparseRow& tail = state.tails[fi];
         elim_cols.assign(ll.elim_all.begin() + ll.elim_ptr[pos],
                          ll.elim_all.begin() + ll.elim_ptr[pos + 1]);
         const real tau_i = opts.tau * norms[i];
+        // The tail is updated in place: multipliers and updates land on its
+        // entries, fill is appended, so its order is the old tail's order
+        // followed by the fill in insertion order.
+        at.clear();
         for (std::size_t p = 0; p < tail.size(); ++p) {
-          w.insert(tail.cols[p], tail.vals[p]);
+          at.set(iface_of[tail.cols[p]], static_cast<idx>(p));
         }
         const std::size_t old_size = tail.size();
-        const bool old_diag = w.present(i);
+        const bool old_diag = at.find(fi) >= 0;
         // Ascending new number keeps the arithmetic order identical to the
         // serial elimination on the permuted matrix.
         std::sort(elim_cols.begin(), elim_cols.end(),
                   [&](idx x, idx y) { return sched.newnum[x] < sched.newnum[y]; });
-        SparseRow& lrow = state.lrows[i];
+        ll.elim_pos.clear();
         for (const idx k : elim_cols) {
-          const SparseRow& urow = urow_of(k);
-          const real multiplier = w.value(k) / urow.vals[0];  // diag stored first
+          const RowView urow = urow_of(k);
+          const idx pk = at.find(iface_of[k]);
+          ll.elim_pos.push_back(pk);
+          const real multiplier = tail.vals[pk] / urow.vals[0];  // diag stored first
           ++flops;
           if (std::abs(multiplier) < tau_i) {  // 1st dropping rule
-            w.set(k, 0.0);
+            tail.vals[pk] = 0.0;
             ++tally.dropped;
             continue;
           }
-          w.set(k, multiplier);
+          tail.vals[pk] = multiplier;
           // Strictly-upper entries only — the loop starts at p = 1.
           flops += 2 * static_cast<std::uint64_t>(urow.size() - 1);
           for (std::size_t p = 1; p < urow.size(); ++p) {
             const idx c = urow.cols[p];
+            const idx fc = iface_of[c];
             const real update = -multiplier * urow.vals[p];
-            if (w.present(c)) {
-              w.accumulate(c, update);
+            const idx pc = at.find(fc);
+            if (pc >= 0) {
+              tail.vals[pc] += update;
             } else {
-              w.insert(c, update);  // fill lands on unfactored columns only
+              at.set(fc, static_cast<idx>(tail.size()));
+              tail.push(c, update);  // fill lands on unfactored columns only
               ++tally.fill;
             }
           }
         }
+        const bool new_diag = at.find(fi) >= 0;
         // Merge surviving multipliers into L and re-apply the 3rd rule.
-        for (const idx k : elim_cols) {
-          const real v = w.value(k);
-          if (v != 0.0) lrow.push(k, v);
+        SparseRow& lrow = state.lparts[fi];
+        for (std::size_t e = 0; e < elim_cols.size(); ++e) {
+          const real v = tail.vals[ll.elim_pos[e]];
+          if (v != 0.0) lrow.push(elim_cols[e], v);
         }
         const std::size_t l_before = lrow.size();
         select_largest(lrow, opts.m, tau_i, -1, scratch.kept);
         tally.dropped += l_before - lrow.size();
-        // Rebuild the tail from the unfactored columns.
-        tail.clear();
-        for (const idx c : w.touched()) {
-          if (in_set[c]) continue;
-          tail.push(c, w.value(c));
+        // Compact the factored (I_l) columns out, keeping the order: the
+        // old tail's surviving entries, then the fill.
+        std::size_t kept = 0, old_kept = 0;
+        for (std::size_t p = 0; p < tail.size(); ++p) {
+          if (in_set[tail.cols[p]]) continue;
+          old_kept += p < old_size;
+          tail.cols[kept] = tail.cols[p];
+          tail.vals[kept++] = tail.vals[p];
         }
+        tail.cols.resize(kept);
+        tail.vals.resize(kept);
         if (tail_cap > 0) {
-          const std::size_t t_before = tail.size();
+          ll.uncapped.assign(tail.cols.begin(), tail.cols.end());
           select_largest(tail, tail_cap, 0.0, i, scratch.kept);
-          tally.dropped += t_before - tail.size();
+          tally.dropped += kept - tail.size();
         }
-        reduced.update_row(r, ctx.lane(), pos, i, w.touched(), old_size, old_diag, tail,
-                           w.present(i), tail_cap > 0, in_set);
+        reduced.update_row(r, ctx.lane(), pos, i,
+                           tail_cap > 0 ? ll.uncapped : tail.cols, old_kept, old_size,
+                           old_diag, tail, new_diag, tail_cap > 0, in_set);
         lane.max_reduced_row =
             std::max(lane.max_reduced_row, static_cast<nnz_t>(tail.size()));
         copied += tail.size() * (sizeof(idx) + sizeof(real));
-        w.clear();
       }
       reduced.end_level(r, iset);
       ctx.charge_flops(flops);
@@ -430,8 +392,7 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
   sched.owner_new.resize(n);
   for (idx i = 0; i < n; ++i) sched.owner_new[sched.newnum[i]] = dist.owner[i];
 
-  pilut_detail::assemble_factors(state.lrows, state.urows, sched.newnum,
-                                 result.factors);
+  pilut_detail::assemble_factors(state, sched.newnum, result.factors);
   result.factors.validate();
   sched.validate();
   return result;

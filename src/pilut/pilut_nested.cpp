@@ -42,7 +42,8 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
   sched.nranks = nranks;
   sched.newnum.assign(n, -1);
 
-  FactorState state(n);
+  FactorState state(dist);
+  const IdxVec& iface_of = state.iface_of;
   // Per-lane scratch: one lane sequentially, one per rank when threaded
   // (see pilut_detail::Lane).
   std::vector<Lane> lanes = pilut_detail::make_lanes(machine, n);
@@ -90,7 +91,8 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
       for (const idx i : active[r]) {
         if (!stage_interior[i]) continue;
         const real tau_i = opts.tau * norms[i];
-        SparseRow& tail = state.tails[i];
+        const idx fi = iface_of[i];
+        SparseRow& tail = state.tails[fi];
         const idx my_num = sched.newnum[i];
         const auto eliminatable = [&](idx c) {
           return stage_interior[c] && sched.newnum[c] < my_num;
@@ -125,12 +127,11 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
         diag = safeguard_pivot(i, diag,
                                opts.pivot_rel > 0.0 ? opts.pivot_rel * norms[i] : 0.0,
                                tally.guarded);
-        state.udiag[i] = diag;
-        state.lrows[i].cols = lstage.cols;
-        state.lrows[i].vals = lstage.vals;
-        pilut_detail::emit_urow(state.urows[i], i, diag, ustage);
-        state.factored[i] = true;
-        tail.clear();
+        // The stage's multipliers replace the L part gathered so far.
+        state.l.put(r, i, lstage);
+        state.u.put_diag_first(r, i, diag, ustage);
+        tail = SparseRow{};  // the row is finished: free its working storage
+        state.lparts[fi] = SparseRow{};
         w.clear();
       }
 
@@ -138,7 +139,8 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
       // factored block (all needed U rows are local to this host).
       for (const idx i : active[r]) {
         if (stage_interior[i]) continue;
-        SparseRow& tail = state.tails[i];
+        const idx fi = iface_of[i];
+        SparseRow& tail = state.tails[fi];
         bool touches_stage = false;
         for (const idx c : tail.cols) {
           if (stage_interior[c]) {
@@ -157,7 +159,7 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
         flops += pilut_detail::eliminate_cascading(w, state, tau_i, heap, eliminatable,
                                                    tally);
 
-        SparseRow& lrow = state.lrows[i];
+        SparseRow& lrow = state.lparts[fi];
         for (const idx c : w.touched()) {
           if (eliminatable(c) && w.value(c) != 0.0) lrow.push(c, w.value(c));
         }
@@ -196,7 +198,8 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
       // Gather everything onto rank 0 and factor the block sequentially.
       for (int r = 1; r < nranks; ++r) {
         for (const idx v : active[r]) {
-          machine.charge_transfer(r, 0, row_bytes(state.tails[v], state.lrows[v]),
+          machine.charge_transfer(r, 0, row_bytes(state.tails[iface_of[v]],
+                                                  state.lparts[iface_of[v]]),
                                   "nested/gather_sequential");
           host[v] = 0;
           active[0].push_back(v);
@@ -237,7 +240,7 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
         auto& lane_edges = edge_lanes[static_cast<std::size_t>(ctx.lane())];
         std::uint64_t scanned = 0;
         for (const idx v : active[r]) {
-          for (const idx c : state.tails[v].cols) {
+          for (const idx c : state.tails[iface_of[v]].cols) {
             if (c == v) continue;
             ++scanned;
             lane_edges.emplace_back(compact_of[v], compact_of[c]);
@@ -288,7 +291,8 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
         const int new_host = part.part[c];
         if (host[v] != new_host) {
           machine.charge_transfer(host[v], new_host,
-                                  row_bytes(state.tails[v], state.lrows[v]),
+                                  row_bytes(state.tails[iface_of[v]],
+                                            state.lparts[iface_of[v]]),
                                   "nested/migrate");
           host[v] = static_cast<idx>(new_host);
         }
@@ -343,7 +347,7 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
   sched.orig_of = invert_permutation(sched.newnum);
   sched.owner_new.resize(n);
   for (idx i = 0; i < n; ++i) sched.owner_new[sched.newnum[i]] = host[i];
-  pilut_detail::assemble_factors(state.lrows, state.urows, sched.newnum, result.factors);
+  pilut_detail::assemble_factors(state, sched.newnum, result.factors);
   result.factors.validate();
   sched.validate();
   return result;

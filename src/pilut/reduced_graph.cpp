@@ -7,35 +7,46 @@
 
 namespace ptilu::pilut_detail {
 
-ReducedGraph::ReducedGraph(const DistCsr& dist, int lanes)
+ReducedGraph::ReducedGraph(const DistCsr& dist, const IdxVec& iface_of, int lanes)
     : dist_(&dist),
-      in_(static_cast<std::size_t>(dist.n())),
-      pos_(dist.n(), -1),
+      iface_of_(&iface_of),
+      in_(static_cast<std::size_t>(dist.interface_count_total())),
+      pos_(in_.size(), -1),
       ranks_(static_cast<std::size_t>(dist.nranks)),
       lanes_(static_cast<std::size_t>(lanes)) {
   for (LaneScratch& lane : lanes_) {
     lane.rank_stamp.assign(static_cast<std::size_t>(dist.nranks), 0);
     lane.last_row.assign(static_cast<std::size_t>(dist.nranks), -1);
-    lane.kept.assign(static_cast<std::size_t>(dist.n()), 0);
+    lane.kept.assign(in_.size(), 0);
   }
 }
 
 void ReducedGraph::begin_level(int r, const IdxVec& active,
                                const std::vector<SparseRow>& tails) {
-  for (std::size_t i = 0; i < active.size(); ++i) pos_[active[i]] = static_cast<idx>(i);
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    pos_[iface(active[i])] = static_cast<idx>(i);
+  }
   RankState& rs = ranks_[r];
   if (rs.built) return;
   rs.built = true;
-  rs.slot.assign(dist_->n(), -1);
+  rs.slot.assign(in_.size(), -1);
   const IdxVec& owner = dist_->owner;
   rs.remote_ptr.assign(1, 0);
   rs.remote_cols.clear();
+  // Size each local in-edge list first, so that it is allocated once.
+  IdxVec in_count(in_.size(), 0);
+  for (const idx v : active) {
+    for (const idx c : tails[iface(v)].cols) {
+      if (c != v && owner[c] == r) ++in_count[iface(c)];
+    }
+  }
+  for (const idx v : active) in_[iface(v)].reserve(in_count[iface(v)]);
   for (const idx v : active) {  // ascending, so every in-edge list comes out sorted
-    for (const idx c : tails[v].cols) {
+    for (const idx c : tails[iface(v)].cols) {
       if (c == v) continue;
       ++rs.out_edges;
       if (owner[c] == r) {
-        in_[c].push_back(v);
+        in_[iface(c)].push_back(v);
       } else {
         rs.remote_cols.push_back(c);
         add_remote_ref(rs, v, c);
@@ -93,7 +104,9 @@ void ReducedGraph::assemble(int r, int lane, const IdxVec& active,
   std::size_t received = 0;
   for (const sim::Message& msg : messages) {
     const std::size_t words = msg.payload.size() / sizeof(idx);
-    for (std::size_t k = 0; k < words; k += 2) ++rs.rin_ptr[pos_[pair_at(msg, k)] + 1];
+    for (std::size_t k = 0; k < words; k += 2) {
+      ++rs.rin_ptr[pos_[iface(pair_at(msg, k))] + 1];
+    }
     received += words / 2;
   }
   for (std::size_t i = 0; i < na; ++i) rs.rin_ptr[i + 1] += rs.rin_ptr[i];
@@ -103,7 +116,7 @@ void ReducedGraph::assemble(int r, int lane, const IdxVec& active,
   for (const sim::Message& msg : messages) {
     const std::size_t words = msg.payload.size() / sizeof(idx);
     for (std::size_t k = 0; k < words; k += 2) {
-      const idx at = ls.cursor[pos_[pair_at(msg, k)]]++;
+      const idx at = ls.cursor[pos_[iface(pair_at(msg, k))]]++;
       rs.rin_src[at] = pair_at(msg, k + 1);
       ls.rin_from[at] = msg.from;
     }
@@ -117,9 +130,9 @@ void ReducedGraph::assemble(int r, int lane, const IdxVec& active,
   const idx* rin = rs.rin_src.data();
   for (std::size_t i = 0; i < na; ++i) {
     const idx v = active[i];
-    const IdxVec& in = in_[v];
+    const IdxVec& in = in_[iface(v)];
     const idx* split = std::lower_bound(in.data(), in.data() + in.size(), v);
-    const IdxVec& out = tails[v].cols;
+    const IdxVec& out = tails[iface(v)].cols;
     DistGraph::Range* seg = part.seg.data() + i * DistGraph::kSegments;
     seg[0] = {in.data(), split};
     seg[1] = {out.data(), out.data() + out.size()};
@@ -147,17 +160,17 @@ void ReducedGraph::retire_row(int r, idx v, const SparseRow& tail) {
     } else {
       // The row stays in the column's list, now stale: eliminations()
       // skips retired rows, and only the live count must be exact.
-      const idx s = rs.slot[c];
+      const idx s = rs.slot[iface(c)];
       if (--rs.live[s] == 0) release_slot(rs, c);
     }
   }
-  pos_[v] = -1;
+  pos_[iface(v)] = -1;
 }
 
 const IdxVec* ReducedGraph::rows_referencing(int r, idx v) const {
-  if (dist_->owner[v] == r) return &in_[v];
+  if (dist_->owner[v] == r) return &in_[iface(v)];
   const RankState& rs = ranks_[r];
-  const idx s = rs.slot[v];
+  const idx s = rs.slot[iface(v)];
   return s < 0 ? nullptr : &rs.rows[s];
 }
 
@@ -167,7 +180,8 @@ void ReducedGraph::eliminations(int r, std::size_t n_active, const IdxVec& iset,
   for (const idx v : iset) {
     if (const IdxVec* rows = rows_referencing(r, v)) {
       for (const idx i : *rows) {
-        if (pos_[i] >= 0) ++ptr[pos_[i] + 1];
+        const idx p = pos_[iface(i)];
+        if (p >= 0) ++ptr[p + 1];
       }
     }
   }
@@ -178,7 +192,8 @@ void ReducedGraph::eliminations(int r, std::size_t n_active, const IdxVec& iset,
   for (const idx v : iset) {
     if (const IdxVec* rows = rows_referencing(r, v)) {
       for (const idx i : *rows) {
-        if (pos_[i] >= 0) cols[ptr[pos_[i]]++] = v;
+        const idx p = pos_[iface(i)];
+        if (p >= 0) cols[ptr[p]++] = v;
       }
     }
   }
@@ -193,7 +208,8 @@ void ReducedGraph::keep_row(int r, std::size_t pos) {
   rs.next_ptr.push_back(static_cast<idx>(rs.next_cols.size()));
 }
 
-void ReducedGraph::update_row(int r, int lane, std::size_t pos, idx i, const IdxVec& touched,
+void ReducedGraph::update_row(int r, int lane, std::size_t pos, idx i,
+                              std::span<const idx> cols, std::size_t old_kept,
                               std::size_t old_size, bool old_diag, const SparseRow& tail,
                               bool new_diag, bool capped,
                               const std::vector<std::uint8_t>& in_set) {
@@ -203,13 +219,12 @@ void ReducedGraph::update_row(int r, int lane, std::size_t pos, idx i, const Idx
   // The I_l columns leave with the level (end_level forgets their index
   // entries wholesale), so only the row's remote list sheds them.
   if (!capped) {
-    // The new tail is the old one minus I_l, then the fill in insertion
-    // order: touched[old_size, end).
+    // The new tail is the old one minus I_l, then the fill: cols[old_kept, end).
     for (idx k = rs.remote_ptr[pos]; k < rs.remote_ptr[pos + 1]; ++k) {
       if (!in_set[rs.remote_cols[k]]) next.push_back(rs.remote_cols[k]);
     }
-    for (std::size_t k = old_size; k < touched.size(); ++k) {
-      const idx c = touched[k];
+    for (std::size_t k = old_kept; k < cols.size(); ++k) {
+      const idx c = cols[k];
       if (c == i) continue;
       add_edge(r, i, c);
       if (dist_->owner[c] != r) next.push_back(c);
@@ -218,19 +233,19 @@ void ReducedGraph::update_row(int r, int lane, std::size_t pos, idx i, const Idx
     // Capped: the selection may drop old columns as well as fill, and the
     // new tail comes sorted by column.
     std::vector<std::uint8_t>& kept = lanes_[static_cast<std::size_t>(lane)].kept;
-    for (const idx c : tail.cols) kept[c] = 1;
-    for (std::size_t k = 0; k < touched.size(); ++k) {
-      const idx c = touched[k];
-      if (c == i || in_set[c]) continue;
-      const bool fill = k >= old_size;
-      if (kept[c] && fill) {
+    for (const idx c : tail.cols) kept[iface(c)] = 1;
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      const idx c = cols[k];
+      if (c == i) continue;
+      const bool fill = k >= old_kept;
+      if (kept[iface(c)] && fill) {
         add_edge(r, i, c);
-      } else if (!kept[c] && !fill) {
+      } else if (!kept[iface(c)] && !fill) {
         remove_edge(r, i, c);
       }
     }
     for (const idx c : tail.cols) {
-      kept[c] = 0;
+      kept[iface(c)] = 0;
       if (c != i && dist_->owner[c] != r) next.push_back(c);
     }
   }
@@ -241,8 +256,8 @@ void ReducedGraph::end_level(int r, const IdxVec& iset) {
   RankState& rs = ranks_[r];
   for (const idx v : iset) {
     if (dist_->owner[v] == r) {
-      IdxVec().swap(in_[v]);
-    } else if (rs.slot[v] >= 0) {
+      IdxVec().swap(in_[iface(v)]);
+    } else if (rs.slot[iface(v)] >= 0) {
       release_slot(rs, v);
     }
   }
@@ -254,7 +269,7 @@ void ReducedGraph::end_level(int r, const IdxVec& iset) {
 
 void ReducedGraph::add_edge(int r, idx row, idx col) {
   if (dist_->owner[col] == r) {
-    IdxVec& in = in_[col];
+    IdxVec& in = in_[iface(col)];
     in.insert(std::lower_bound(in.begin(), in.end(), row), row);
   } else {
     add_remote_ref(ranks_[r], row, col);
@@ -267,7 +282,7 @@ void ReducedGraph::remove_edge(int r, idx row, idx col) {
     return;
   }
   RankState& rs = ranks_[r];
-  const idx s = rs.slot[col];
+  const idx s = rs.slot[iface(col)];
   PTILU_ASSERT(s >= 0, "remote column " << col << " is not indexed");
   IdxVec& rows = rs.rows[s];
   const auto it = std::find(rows.begin(), rows.end(), row);
@@ -278,14 +293,14 @@ void ReducedGraph::remove_edge(int r, idx row, idx col) {
 }
 
 void ReducedGraph::remove_local_ref(idx row, idx col) {
-  IdxVec& in = in_[col];
+  IdxVec& in = in_[iface(col)];
   const auto it = std::lower_bound(in.begin(), in.end(), row);
   PTILU_ASSERT(it != in.end() && *it == row, "missing in-edge " << row << " -> " << col);
   in.erase(it);
 }
 
 void ReducedGraph::add_remote_ref(RankState& rs, idx row, idx col) {
-  idx s = rs.slot[col];
+  idx& s = rs.slot[iface(col)];
   if (s < 0) {
     if (rs.free_slots.empty()) {
       s = static_cast<idx>(rs.rows.size());
@@ -295,21 +310,21 @@ void ReducedGraph::add_remote_ref(RankState& rs, idx row, idx col) {
       s = rs.free_slots.back();
       rs.free_slots.pop_back();
     }
-    rs.slot[col] = s;
   }
   rs.rows[s].push_back(row);
   ++rs.live[s];
 }
 
 void ReducedGraph::release_slot(RankState& rs, idx col) {
-  const idx s = rs.slot[col];
+  idx& s = rs.slot[iface(col)];
   rs.rows[s].clear();
   rs.live[s] = 0;
   rs.free_slots.push_back(s);
-  rs.slot[col] = -1;
+  s = -1;
 }
 
-void check_against_rebuild(const DistCsr& dist, const std::vector<IdxVec>& active,
+void check_against_rebuild(const DistCsr& dist, const IdxVec& iface_of,
+                           const std::vector<IdxVec>& active,
                            const std::vector<SparseRow>& tails, const DistGraph& graph,
                            long long edges) {
   const int nranks = dist.nranks;
@@ -323,7 +338,7 @@ void check_against_rebuild(const DistCsr& dist, const std::vector<IdxVec>& activ
   for (int r = 0; r < nranks; ++r) {
     for (std::size_t i = 0; i < active[r].size(); ++i) {
       const idx v = active[r][i];
-      for (const idx c : tails[v].cols) {
+      for (const idx c : tails[iface_of[v]].cols) {
         if (c == v) continue;
         adj[r][i].push_back(c);
         if (dist.owner[c] == r) adj[r][pos[c]].push_back(v);
@@ -334,7 +349,7 @@ void check_against_rebuild(const DistCsr& dist, const std::vector<IdxVec>& activ
   long long total = 0;
   for (int s = 0; s < nranks; ++s) {
     for (const idx v : active[s]) {
-      for (const idx c : tails[v].cols) {
+      for (const idx c : tails[iface_of[v]].cols) {
         if (c != v && dist.owner[c] != s) adj[dist.owner[c]][pos[c]].push_back(v);
       }
     }

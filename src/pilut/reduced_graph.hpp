@@ -30,12 +30,17 @@
 // The MIS comparison counts, notify order and message contents depend on
 // that order, so factors, charges and messages stay bit-identical.
 //
+// Only interface vertices ever enter the graph, so every per-vertex array
+// is indexed by interface number (FactorState::iface_of), not global id,
+// and so are the reduced rows.
+//
 // Threading: a rank body writes only the state of its own rank — entries
-// of the global-id arrays for vertices it owns, and its RankState — so
+// of the per-vertex arrays for vertices it owns, and its RankState — so
 // concurrent bodies of the threaded backend never share a mutable element.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ptilu/dist/distcsr.hpp"
@@ -47,11 +52,14 @@ namespace ptilu::pilut_detail {
 
 class ReducedGraph {
  public:
-  ReducedGraph(const DistCsr& dist, int lanes);
+  /// `iface_of` maps a row to its interface number (-1 for interior rows);
+  /// it must outlive the graph.
+  ReducedGraph(const DistCsr& dist, const IdxVec& iface_of, int lanes);
 
   // ---- pilut/setup/reverse_edges ----
   /// Start a level on rank r: record the positions of its active rows and,
   /// on the first level, index them from their tails (the one full scan).
+  /// Tails are indexed by interface number.
   void begin_level(int r, const IdxVec& active, const std::vector<SparseRow>& tails);
   /// Append the (column, row) reverse pair of every remote out-edge of rank
   /// r to reverse_out[owner of column], rows ascending, columns in tail order.
@@ -73,7 +81,7 @@ class ReducedGraph {
 
   // ---- pilut/exchange/request ----
   /// Whether a row of rank r references remote column c.
-  bool references(int r, idx c) const { return ranks_[r].slot[c] >= 0; }
+  bool references(int r, idx c) const { return ranks_[r].slot[(*iface_of_)[c]] >= 0; }
 
   // ---- pilut/reduce ----
   /// The I_l columns in the tail of each of rank r's n_active rows (by
@@ -81,14 +89,17 @@ class ReducedGraph {
   /// member's in-edges, a remote member's referencing rows.
   void eliminations(int r, std::size_t n_active, const IdxVec& iset, IdxVec& ptr,
                     IdxVec& cols) const;
-  /// Row i of rank r, at active position `pos`, was reduced: its old tail
-  /// was touched[0, old_size) and its new tail is `tail` (capped:
+  /// Row i of rank r, at active position `pos`, was reduced. Its old tail
+  /// had old_size entries; `cols` is the row once the I_l columns left it:
+  /// the old tail's old_kept surviving columns, then the fill in insertion
+  /// order. Its new tail is `tail`: `cols` itself unless capped (then
   /// re-selected by select_largest, so fill may have been dropped again and
-  /// the order is new); the *_diag flags say whether each held the
-  /// diagonal. Move its edges from the old tail to the new one.
-  void update_row(int r, int lane, std::size_t pos, idx i, const IdxVec& touched,
-                  std::size_t old_size, bool old_diag, const SparseRow& tail, bool new_diag,
-                  bool capped, const std::vector<std::uint8_t>& in_set);
+  /// the order is new). The *_diag flags say whether the old and new tails
+  /// hold the diagonal. Move the row's edges from the old tail to the new.
+  void update_row(int r, int lane, std::size_t pos, idx i, std::span<const idx> cols,
+                  std::size_t old_kept, std::size_t old_size, bool old_diag,
+                  const SparseRow& tail, bool new_diag, bool capped,
+                  const std::vector<std::uint8_t>& in_set);
   /// The row at active position `pos` stays as it is this level. Every
   /// row that stays active gets exactly one update_row or keep_row call,
   /// in position order.
@@ -131,19 +142,25 @@ class ReducedGraph {
   void add_remote_ref(RankState& rs, idx row, idx col);
   void release_slot(RankState& rs, idx col);
 
+  idx iface(idx v) const { return (*iface_of_)[v]; }
+
   const DistCsr* dist_;
+  const IdxVec* iface_of_;
   std::vector<IdxVec> in_;       // [owned vertex] local in-edges, sources ascending
   IdxVec pos_;                   // [active vertex] position in its owner's active list
+                                 // (both by interface number)
   std::vector<RankState> ranks_;
   std::vector<LaneScratch> lanes_;
 };
 
-/// Checked-mode reference: re-derive the level's graph from the tails with
+/// Checked-mode reference: re-derive the level's graph from the tails
+/// (indexed by interface number through `iface_of`) with
 /// the per-level rebuild the persistent graph replaced (local edges in one
 /// scan, then reverse pairs in sender-rank order), and fail with PTILU_CHECK
 /// unless every vertex's neighbor sequence in `graph` and the total edge
 /// count `edges` match it.
-void check_against_rebuild(const DistCsr& dist, const std::vector<IdxVec>& active,
+void check_against_rebuild(const DistCsr& dist, const IdxVec& iface_of,
+                           const std::vector<IdxVec>& active,
                            const std::vector<SparseRow>& tails, const DistGraph& graph,
                            long long edges);
 

@@ -1,6 +1,7 @@
 // Tests for the multilevel k-way partitioner and its internal phases.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 
 #include "ptilu/graph/graph.hpp"
@@ -8,6 +9,7 @@
 #include "ptilu/support/check.hpp"
 #include "ptilu/support/rng.hpp"
 #include "ptilu/workloads/grids.hpp"
+#include "ptilu/workloads/torso.hpp"
 
 #include "../src/part/internal.hpp"
 
@@ -154,6 +156,35 @@ TEST(PartitionKway, DeterministicForFixedSeed) {
   const Partition a = partition_kway(g, 4, {.seed = 9});
   const Partition b = partition_kway(g, 4, {.seed = 9});
   EXPECT_EQ(a.part, b.part);
+}
+
+TEST(PartitionKway, PartsArePinned) {
+  // FNV-1a of the part vector for 16 parts: any change to the matching
+  // order, the coarse graphs or the refinement moves them.
+  workloads::TorsoOptions torso;
+  torso.nx = 12;
+  torso.ny = 12;
+  torso.nz = 16;
+  const Graph graphs[] = {
+      graph_from_pattern(workloads::convection_diffusion_2d(32, 32, 10.0, 20.0)),
+      graph_from_pattern(workloads::fem_torso_3d(torso).a)};
+  const std::uint64_t pinned[2][3] = {
+      {0x9e1be2ba6bc1b763ULL, 0x712d0d800c2e465aULL, 0x845a7414faaf0483ULL},
+      {0x21556ba6f04533d4ULL, 0xa7dd9ffd00f270faULL, 0x2478a78c9af7b4abULL}};
+  for (int m = 0; m < 2; ++m) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Partition p = partition_kway(graphs[m], 16, {.seed = seed});
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      for (const idx v : p.part) {
+        const auto* bytes = reinterpret_cast<const unsigned char*>(&v);
+        for (std::size_t b = 0; b < sizeof v; ++b) {
+          h ^= bytes[b];
+          h *= 0x100000001b3ULL;
+        }
+      }
+      EXPECT_EQ(h, pinned[m][seed - 1]) << (m == 0 ? "g0" : "torso") << " seed " << seed;
+    }
+  }
 }
 
 TEST(PartitionKway, HandlesDisconnectedGraph) {
