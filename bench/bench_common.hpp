@@ -60,7 +60,7 @@ inline std::string config_label(const FactorConfig& config, idx cap_k) {
 
 /// Scale presets: --quick (CI-sized), default (fits the full sweep in
 /// minutes on one host), --paper (the paper's problem sizes; slow because
-/// the 128-way runs are simulated on one core).
+/// the 128-way runs are simulated on one 4-core host).
 struct Scale {
   idx g0_nx = 240, g0_ny = 240;      // paper scale: 57,600 unknowns
   idx torso_nx = 28, torso_ny = 28, torso_nz = 40;
@@ -101,7 +101,7 @@ inline TestMatrix build_torso(const Scale& scale) {
 /// flip an entire harness without touching its command line; the flags
 /// override the environment. Both backends produce bit-identical modeled
 /// results (see DESIGN.md §10), so this only changes host wall-clock — and
-/// the JSON reports record which backend ran, so cross-backend wall-clock
+/// the serve JSON records which backend ran, so cross-backend wall-clock
 /// comparisons are refused by scripts/check_bench_json.py unless explicitly
 /// requested.
 inline sim::Machine::Options machine_options_from_cli(const Cli& cli) {

@@ -1,16 +1,12 @@
 // google-benchmark micro-kernels for the library's hot paths: SpMV, serial
-// triangular solves (scalar and blocked-panel), the ILUT row kernel and
-// the supernodal/blocked factorization (whole-matrix factorizations at
-// several sizes), the register-tile AXPY at each fixed width,
-// selection/dropping, Luby MIS rounds, and partitioning.
+// triangular solves, the ILUT row kernel (whole-matrix factorizations at
+// several sizes), selection/dropping, Luby MIS rounds, and partitioning.
 #include <benchmark/benchmark.h>
 
 #include "ptilu/graph/graph.hpp"
 #include "ptilu/graph/mis.hpp"
-#include "ptilu/ilu/block_kernels.hpp"
 #include "ptilu/ilu/factors.hpp"
 #include "ptilu/ilu/ilut.hpp"
-#include "ptilu/ilu/ilut_blocked.hpp"
 #include "ptilu/ilu/trisolve.hpp"
 #include "ptilu/krylov/gmres.hpp"
 #include "ptilu/part/partition.hpp"
@@ -47,40 +43,6 @@ void BM_IlutFactor(benchmark::State& state) {
 }
 BENCHMARK(BM_IlutFactor)->Args({64, 5})->Args({64, 20})->Args({128, 10});
 
-void BM_IlutBlockedFactor(benchmark::State& state) {
-  const Csr a = grid_matrix(static_cast<idx>(state.range(0)));
-  const BlockedIlutOptions opts{
-      .base = {.m = static_cast<idx>(state.range(1)), .tau = 1e-4},
-      .panels = {.max_panel = static_cast<int>(state.range(2)), .slack = 1.5}};
-  for (auto _ : state) {
-    const BlockedFactors f = ilut_blocked(a, opts);
-    benchmark::DoNotOptimize(f.nnz());
-  }
-  state.SetItemsProcessed(state.iterations() * a.n_rows);
-}
-BENCHMARK(BM_IlutBlockedFactor)
-    ->Args({64, 10, 4})
-    ->Args({128, 10, 4})
-    ->Args({128, 10, 8});
-
-// The register-tile AXPY at each fixed width, against a working set that
-// fits in L1: this is the inner loop of both the blocked factorization
-// update and the panel trisolves.
-void BM_TileAxpy(benchmark::State& state) {
-  const int nb = static_cast<int>(state.range(0));
-  const int cols = 512;
-  RealVec w(static_cast<std::size_t>(cols) * nb, 1.0);
-  RealVec m(static_cast<std::size_t>(nb), 0.5);
-  for (auto _ : state) {
-    for (int c = 0; c < cols; ++c) {
-      tile_axpy_any(nb, w.data() + static_cast<std::size_t>(c) * nb, m.data(), 1e-3);
-    }
-    benchmark::DoNotOptimize(w.data());
-  }
-  state.SetItemsProcessed(state.iterations() * cols * nb);
-}
-BENCHMARK(BM_TileAxpy)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_Ilu0Factor(benchmark::State& state) {
   const Csr a = grid_matrix(static_cast<idx>(state.range(0)));
   for (auto _ : state) {
@@ -102,19 +64,6 @@ void BM_TriangularSolve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (f.l.nnz() + f.u.nnz()));
 }
 BENCHMARK(BM_TriangularSolve)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_TriangularSolveBlocked(benchmark::State& state) {
-  const Csr a = grid_matrix(static_cast<idx>(state.range(0)));
-  const BlockedFactors f = ilut_blocked(a, {.base = {.m = 10, .tau = 1e-4}, .panels = {}});
-  const RealVec b = workloads::random_vector(a.n_rows, 2);
-  RealVec x(a.n_rows);
-  for (auto _ : state) {
-    ilu_apply(f, b, x);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.nnz());
-}
-BENCHMARK(BM_TriangularSolveBlocked)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_SelectLargest(benchmark::State& state) {
   Rng rng(3);

@@ -71,14 +71,4 @@ struct FactorScratch {
   SparseRow ustage;                        ///< staging for the U part of a split row
 };
 
-/// The blocked factorization's counterpart of FactorScratch: the panel loop
-/// reuses one elimination heap, one per-pivot multiplier tile, and one
-/// block-dropping selection buffer across all panels, so the steady state
-/// is allocation-free just like the scalar path (DESIGN.md §8, §13).
-struct PanelScratch {
-  IdxVec heap;                             ///< elimination-heap backing storage
-  RealVec mult;                            ///< current pivot's nb multipliers
-  std::vector<std::pair<real, idx>> tiles; ///< (Frobenius², column) dropping buffer
-};
-
 }  // namespace ptilu

@@ -61,56 +61,4 @@ void select_largest(SparseRow& row, idx keep_count, real tau, idx always_keep = 
 /// rows, writing into exactly-sized storage (no growth reallocation).
 Csr rows_to_csr(idx n, const std::vector<SparseRow>& rows);
 
-/// Supernodal/blocked incomplete factors: rows are grouped into contiguous
-/// panels (see supernodes.hpp) and every factor column a panel keeps is one
-/// dense nb-wide tile, nb = the panel width. Per panel p covering rows
-/// [r0, r0+nb):
-///
-///  * `lcols[p]` — sorted external L columns (all < r0); `lvals[p]` holds
-///    one tile per column, tile entry j = the multiplier of row r0+j
-///    (explicit zeros pad rows whose scalar pattern lacked the column).
-///  * `diag[p]` — the dense nb x nb diagonal block, row-major: the strict
-///    lower part stores the intra-panel multipliers (unit diagonal
-///    implicit), the upper part including the diagonal stores U.
-///  * `ucols[p]` / `uvals[p]` — sorted external U columns (all >= r0+nb),
-///    tiled the same way; entry j = U(r0+j, c).
-///
-/// The layout is what the register-blocked kernels consume directly: a
-/// column's tile is contiguous, so the working-row update and both
-/// trisolves run fixed-width dense loops (block_kernels.hpp).
-struct BlockedFactors {
-  idx n = 0;
-  IdxVec panel_start;            ///< np+1 boundaries, power-of-two widths
-  std::vector<IdxVec> lcols;
-  std::vector<RealVec> lvals;
-  std::vector<RealVec> diag;
-  std::vector<IdxVec> ucols;
-  std::vector<RealVec> uvals;
-
-  idx n_panels() const { return static_cast<idx>(panel_start.size()) - 1; }
-  int width(idx p) const {
-    return static_cast<int>(panel_start[p + 1] - panel_start[p]);
-  }
-
-  /// Stored values (tiles are dense, so padding zeros count): the memory
-  /// footprint the blocked format actually pays for.
-  nnz_t stored_entries() const;
-
-  /// Structural nonzeros (padding excluded) — comparable to scalar nnz.
-  nnz_t nnz() const;
-
-  /// Structural sanity: boundaries cover [0, n) with power-of-two widths,
-  /// external column lists sorted and on the correct side of the panel,
-  /// tile sizes consistent, U diagonal entries nonzero.
-  void validate() const;
-
-  /// nnz(L) + nnz(U) relative to nnz(A), padding excluded — directly
-  /// comparable to IluFactors::fill_factor.
-  double fill_factor(nnz_t nnz_a) const;
-
-  /// Expand into scalar CSR factors (padding zeros skipped, U diag-first).
-  /// For validation and differential tests, not the hot path.
-  IluFactors to_csr() const;
-};
-
 }  // namespace ptilu

@@ -1,5 +1,5 @@
 // The safeguarded pivot substitution shared by every factorization driver
-// (serial ILUT/ILU(k)/blocked, simulated-parallel PILUT/PILU0/nested).
+// (serial ILUT/ILU(k), simulated-parallel PILUT/PILU0/nested).
 //
 // A threshold factorization can drive a diagonal entry arbitrarily close to
 // zero (dropping removes exactly the mass that kept it away), and the next

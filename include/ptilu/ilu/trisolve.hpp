@@ -26,30 +26,17 @@ void ilu_apply(const IluFactors& factors, std::span<const real> b, std::span<rea
 void ilu_apply_permuted(const IluFactors& factors, const IdxVec& new_of,
                         std::span<const real> b, std::span<real> x);
 
-/// Blocked trisolves over supernodal factors: per panel, the external
-/// column tiles are gathered with the same register-blocked kernel the
-/// factorization uses, then the small dense diagonal block is solved in
-/// registers. Equivalent accumulation order to the CSR solves up to
-/// floating-point reassociation within a panel.
-void forward_solve(const BlockedFactors& f, std::span<const real> b, std::span<real> y);
-void backward_solve(const BlockedFactors& f, std::span<const real> y, std::span<real> x);
-
-/// x = U^{-1} L^{-1} b with blocked factors — the blocked preconditioner
-/// application.
-void ilu_apply(const BlockedFactors& f, std::span<const real> b, std::span<real> x);
-
 // ---- Batched multi-RHS solves (the serving hot path) -------------------
 //
 // One sweep over the factor carries a group of min(8, remaining) columns
-// of a DenseRhsBlock, so k <= 8 streams the factor once: per CSR entry (or
-// panel tile) the group's independent accumulators update together, which
-// breaks the single-RHS latency chain and reuses each loaded factor entry
-// for every column. The row loops are instantiated at each group width
-// 1..8 and chosen once per group. Column c of the result is bit-identical
-// to the single-RHS solve of column c for the scalar CSR overloads (per
-// column the accumulation order is exactly the single-RHS order); the
-// blocked overloads match their single-RHS blocked counterparts within
-// rounding. Held by tests/test_serve.cpp for every k in 1..17.
+// of a DenseRhsBlock, so k <= 8 streams the factor once: per CSR entry the
+// group's independent accumulators update together, which breaks the
+// single-RHS latency chain and reuses each loaded factor entry for every
+// column. The row loops are instantiated at each group width 1..8 and
+// chosen once per group. Column c of the result is bit-identical to the
+// single-RHS solve of column c (per column the accumulation order is
+// exactly the single-RHS order). Held by tests/test_serve.cpp for every k
+// in 1..17.
 
 /// Solve L Y = B column-wise, one sweep over L.
 void forward_solve(const Csr& l, const DenseRhsBlock& b, DenseRhsBlock& y);
@@ -59,10 +46,5 @@ void backward_solve(const Csr& u, const DenseRhsBlock& y, DenseRhsBlock& x);
 
 /// X = U^{-1} L^{-1} B — batched preconditioner application.
 void ilu_apply(const IluFactors& factors, const DenseRhsBlock& b, DenseRhsBlock& x);
-
-/// Blocked-factor batched solves: nb x k register tiles per panel.
-void forward_solve(const BlockedFactors& f, const DenseRhsBlock& b, DenseRhsBlock& y);
-void backward_solve(const BlockedFactors& f, const DenseRhsBlock& y, DenseRhsBlock& x);
-void ilu_apply(const BlockedFactors& f, const DenseRhsBlock& b, DenseRhsBlock& x);
 
 }  // namespace ptilu

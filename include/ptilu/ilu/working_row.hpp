@@ -67,66 +67,4 @@ class WorkingRow {
   std::uint8_t epoch_ = 1;  // 0 is reserved as "never stamped"
 };
 
-/// The panelized working row of the blocked ILUT path: the same
-/// epoch-stamped presence scheme as WorkingRow, but every column owns a
-/// contiguous `stride`-wide tile of values — entry j of column c's tile is
-/// the working value of panel row j at column c. insert() zeroes the whole
-/// tile (the padding rows start at zero), and tile() hands the kernels a
-/// raw pointer so the nb-wide updates are single contiguous loops.
-class PanelWorkingRow {
- public:
-  PanelWorkingRow(idx n, int stride)
-      : stride_(stride),
-        value_(static_cast<std::size_t>(n) * static_cast<std::size_t>(stride), 0.0),
-        stamp_(n, 0) {
-    PTILU_CHECK(stride >= 1, "panel stride must be positive");
-  }
-
-  idx capacity() const { return static_cast<idx>(stamp_.size()); }
-  int stride() const { return stride_; }
-
-  bool present(idx c) const { return stamp_[c] == epoch_; }
-
-  real* tile(idx c) {
-    PTILU_ASSERT(present(c), "column " << c << " not present");
-    return value_.data() + static_cast<std::size_t>(c) * static_cast<std::size_t>(stride_);
-  }
-  const real* tile(idx c) const {
-    PTILU_ASSERT(present(c), "column " << c << " not present");
-    return value_.data() + static_cast<std::size_t>(c) * static_cast<std::size_t>(stride_);
-  }
-
-  /// Introduce a column (must not be present yet): stamps it, zeroes its
-  /// tile, and returns the tile pointer.
-  real* insert(idx c) {
-    PTILU_ASSERT(!present(c), "column " << c << " already present");
-    stamp_[c] = epoch_;
-    nonzeros_.push_back(c);
-    real* t = value_.data() + static_cast<std::size_t>(c) * static_cast<std::size_t>(stride_);
-    std::fill(t, t + stride_, 0.0);
-    return t;
-  }
-
-  /// Columns touched since the last clear(), in insertion order.
-  const IdxVec& touched() const { return nonzeros_; }
-
-  /// O(1) reset: advance the epoch so every stamp goes stale at once.
-  /// Stale tiles keep their values — insert() re-zeroes on next use — so
-  /// only the stamp array needs the wrap-time bulk invalidation.
-  void clear() {
-    nonzeros_.clear();
-    if (++epoch_ == 0) {  // stamp wrapped: invalidate stale stamps in bulk
-      std::fill(stamp_.begin(), stamp_.end(), std::uint8_t{0});
-      epoch_ = 1;
-    }
-  }
-
- private:
-  int stride_;
-  RealVec value_;
-  std::vector<std::uint8_t> stamp_;  // presence = (stamp_[c] == epoch_)
-  IdxVec nonzeros_;
-  std::uint8_t epoch_ = 1;  // 0 is reserved as "never stamped"
-};
-
 }  // namespace ptilu

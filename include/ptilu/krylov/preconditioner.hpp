@@ -54,17 +54,4 @@ class IluPreconditioner final : public Preconditioner {
   IdxVec new_of_;
 };
 
-/// M = L·U from the supernodal/blocked factorization (ilut_blocked);
-/// application runs the register-blocked panel trisolves.
-class BlockedIluPreconditioner final : public Preconditioner {
- public:
-  explicit BlockedIluPreconditioner(BlockedFactors factors);
-  void apply(std::span<const real> b, std::span<real> x) const override;
-
-  const BlockedFactors& factors() const { return factors_; }
-
- private:
-  BlockedFactors factors_;
-};
-
 }  // namespace ptilu

@@ -3,12 +3,12 @@
 // The paper's economics — factor once, amortize the setup over many
 // triangular solves — is a serving workload: requests name an operator and
 // a right-hand side, and the expensive ILUT factorization should run only
-// when the (matrix, parameters, kernel variant) triple has not been seen
-// recently. FactorCache keys completed factorizations by a 64-bit
-// fingerprint of the matrix (structure AND values — a coefficient update
-// is a different operator) combined with the exact factorization
-// parameters, and evicts least-recently-used entries beyond a fixed
-// capacity (default from PTILU_SERVE_CACHE_CAP).
+// when the (matrix, parameters) pair has not been seen recently.
+// FactorCache keys completed factorizations by a 64-bit fingerprint of the
+// matrix (structure AND values — a coefficient update is a different
+// operator) combined with the exact factorization parameters, and evicts
+// least-recently-used entries beyond a fixed capacity (default from
+// PTILU_SERVE_CACHE_CAP).
 //
 // Every request fingerprints its operator, hit or miss, so the hash must
 // run at memory bandwidth: it reads 8-byte words into four independent
@@ -41,12 +41,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 
 #include "ptilu/ilu/ilut.hpp"
-#include "ptilu/ilu/ilut_blocked.hpp"
 #include "ptilu/krylov/preconditioner.hpp"
 #include "ptilu/sparse/csr.hpp"
 #include "ptilu/support/types.hpp"
@@ -65,28 +63,13 @@ namespace ptilu::serve {
 /// The value is pinned by tests/test_serve.cpp.
 std::uint64_t matrix_fingerprint(const Csr& a);
 
-/// Which factorization kernel family a cached entry was built with.
-/// Scalar and blocked factors drop differently (entry-wise vs block
-/// Frobenius), so the same (matrix, m, tau) under different variants are
-/// distinct operators from the cache's point of view.
-enum class FactorVariant : std::uint8_t {
-  kScalar = 0,   ///< ilut() + CSR trisolves
-  kBlocked = 1,  ///< ilut_blocked() + register-blocked panel trisolves
-};
-
-/// Short lowercase name ("scalar", "blocked").
-const char* factor_variant_name(FactorVariant variant);
-
 /// Full cache key. Equality is exact: every field that changes the factors
 /// participates.
 struct FactorKey {
   std::uint64_t matrix = 0;  ///< matrix_fingerprint of the operator
-  FactorVariant variant = FactorVariant::kScalar;
   idx m = 0;
   real tau = 0.0;
   real pivot_rel = 0.0;
-  int max_panel = 0;  ///< blocked only; 0 for scalar
-  real slack = 0.0;   ///< blocked only; 0 for scalar
 
   bool operator==(const FactorKey&) const = default;
 };
@@ -115,11 +98,7 @@ class FactorCache {
   /// eviction; apply() from concurrent threads is safe.
   std::shared_ptr<const Preconditioner> get(const Csr& a, const IlutOptions& opts);
 
-  /// Blocked-variant counterpart (supernodal factors, panel trisolves).
-  std::shared_ptr<const Preconditioner> get_blocked(const Csr& a,
-                                                    const BlockedIlutOptions& opts);
-
-  /// True when (a, opts, variant) is resident — no factoring, no counter
+  /// True when `key` is resident — no factoring, no counter
   /// movement, no LRU reordering (introspection for tests and reporting).
   bool contains(const FactorKey& key) const;
 
@@ -137,9 +116,6 @@ class FactorCache {
     std::shared_ptr<const Preconditioner> factor;
   };
 
-  std::shared_ptr<const Preconditioner> lookup_or_insert(
-      const FactorKey& key,
-      const std::function<std::shared_ptr<const Preconditioner>()>& build);
   void bump(std::uint64_t CacheStats::* slot, std::uint32_t counter);
 
   std::size_t capacity_;

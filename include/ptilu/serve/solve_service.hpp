@@ -114,9 +114,8 @@ class SortedSample {
 /// Apply one preconditioner to a batch of right-hand sides: columns of
 /// `b` are solved into columns of `x` via the batched DenseRhsBlock
 /// overloads when the factor supports them, column-by-column otherwise.
-/// Column c equals the single-RHS apply of column c bit-for-bit for
-/// scalar factors (the batched-kernel contract), within tolerance for
-/// blocked factors.
+/// Column c equals the single-RHS apply of column c bit-for-bit (the
+/// batched-kernel contract).
 void apply_batch(const Preconditioner& factor, const DenseRhsBlock& b, DenseRhsBlock& x);
 
 }  // namespace ptilu::serve

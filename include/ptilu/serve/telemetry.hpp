@@ -1,5 +1,5 @@
 // Serving telemetry: the third observability pillar beside sim::Trace and
-// sim::Metrics (docs/SERVING.md §6, docs/OBSERVABILITY.md, DESIGN.md §15).
+// sim::Metrics (docs/SERVING.md §6, docs/OBSERVABILITY.md, DESIGN.md §14).
 //
 // Three instruments, all on the modeled-seconds axis so every number is
 // bit-identical across backends, runs, and hosts:

@@ -161,8 +161,7 @@ class Metrics {
                          const std::vector<std::pair<std::string, std::string>>& run_info = {});
   /// FNV-1a 64 checksum of the report's machine-derived payload (phases +
   /// counters + rank_counters, excluding "run"): identical across backends,
-  /// and any shift in phase-level time distribution changes it. Carried in
-  /// bench JSON (schema v3) so perf comparisons can flag such shifts.
+  /// and any shift in phase-level time distribution changes it.
   std::uint64_t payload_checksum(const Machine& machine);
 
   /// Human-readable critical-path/straggler table (see docs/OBSERVABILITY.md

@@ -12,7 +12,9 @@ namespace ptilu {
 /// Read a Matrix Market coordinate file. Supports real/integer/pattern
 /// fields and general/symmetric/skew-symmetric symmetry (symmetric entries
 /// are mirrored; pattern values become 1.0). Throws ptilu::Error on
-/// malformed input.
+/// malformed input, naming the entry: a truncated or unparseable entry, a
+/// value out of a double's range or non-finite, or duplicate entries that
+/// assemble to a non-finite value.
 Csr read_matrix_market(std::istream& in);
 Csr read_matrix_market_file(const std::string& path);
 

@@ -24,10 +24,10 @@ using RealVec = std::vector<real>;
 
 }  // namespace ptilu
 
-/// No-alias qualifier for the hot tile kernels: the tile and multiplier
-/// pointers passed to them never overlap (they address distinct columns of
-/// a panel working row), and telling the compiler so is what lets it emit
-/// straight vector code instead of overlap-checked loops.
+/// No-alias qualifier for the hot triangular-solve loops: the factor arrays
+/// and the accumulators they update never overlap, and telling the
+/// compiler so is what lets it emit straight vector code instead of
+/// overlap-checked loops.
 #if defined(__GNUC__) || defined(__clang__)
 #define PTILU_RESTRICT __restrict__
 #else

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Validate — and optionally compare — bench JSON files.
 
-Three schema families are understood, dispatched on the file's "schema":
+Two schema families are understood, dispatched on the file's "schema":
 
-  * ptilu-bench-wallclock-v1/v2/v3/v4 — bench_wallclock output (host seconds);
   * ptilu-bench-scale-v1 — bench_scale output (modeled strong/weak scaling
     sweeps; see docs/SCALING.md);
   * ptilu-bench-serve-v1 — bench_serve output (the preconditioner-serving
@@ -16,9 +15,9 @@ a non-empty "points" list with strictly ascending positive rank counts;
 every point's modeled phase seconds are positive and sum to
 "modeled_total_s" exactly (the harness reads phase boundaries off one
 modeled clock); "speedup" (strong) and "efficiency" (both modes) are
-recomputed from the sweep's first point and must match. Comparison mode is
-wallclock-only — modeled scale numbers are deterministic, so two runs of
-the same binary are byte-identical and a speedup ratio is meaningless.
+recomputed from the sweep's first point and must match. Comparison mode
+refuses scale files — modeled scale numbers are deterministic, so two runs
+of the same binary are byte-identical and a speedup ratio is meaningless.
 
 bench_serve validation: top level carries the execution backend, boolean
 "smoke"/"quick"/"exact", the workload with positive n/nnz, positive
@@ -33,85 +32,30 @@ every wall_* field, so two such files are byte-comparable across runs and
 backends. serve-vs-serve comparison pairs apply benches by name, requires
 matching payload checksums (same deterministic plan, or the wall ratio is
 meaningless), and reports the wall-throughput ratio; --exact files have no
-wall data and are refused.
+wall data and are refused. Comparing runs from different execution
+backends is refused too — the ratio would measure the backend, not the
+change under test — unless --allow-backend-mismatch says that backend
+speedup is the measurement.
 
-Cross-family --compare (wallclock vs scale vs serve, in any order) is
-always refused: the numbers live on different axes.
+Cross-family --compare (scale vs serve, in either order) is always
+refused: the numbers live on different axes.
 
-bench_wallclock validation checks (stdlib only, no third-party dependencies):
-  * the file is valid JSON with "schema": "ptilu-bench-wallclock-v2",
-    -v3, or -v4 (v1 files, which predate the execution-backend field,
-    still validate);
-  * top level carries a boolean "quick" and a positive int "repetitions";
-    v2+ additionally records the execution backend ("sequential" or
-    "threads") and the worker-pool size ("threads", 0 = auto); v4
-    additionally records the kernel "variant" ("scalar" or "blocked" —
-    the supernodal/register-blocked ILUT path);
-  * "benches" is a non-empty list; every entry has a unique name, a
-    workload, a kind in {factorization, solve}, positive n/nnz, a
-    "reps_s" list of `repetitions` positive floats, and median/min/max
-    consistent with the samples (median recomputed, min <= median <= max);
-  * a numeric "checksum" (guards against dead-code-eliminated benches);
-  * v3+ benches may carry "report_checksum", the 16-hex-digit FNV-1a hash
-    of the metrics report payload of an untimed observed rerun (written
-    when bench_wallclock runs with --report/--report-dir).
-
-Comparison mode (--compare BASELINE CURRENT) validates both files, pairs
-benches by name, requires matching checksums (the two builds must compute
-identical results for a wall-clock comparison to be meaningful), and
-prints the per-bench speedup baseline_median / current_median. When both
-sides carry "report_checksum" and the values differ while the numeric
-checksums match, a note flags the phase-distribution shift: the builds
-computed the same factors, but distributed modeled time or traffic across
-phases differently (a critical-path change worth reading the reports
-for). With
---require-speedup X it fails unless every *factorization* bench reaches
-that speedup; with --out PATH it writes CURRENT augmented with
-"baseline_median_s" and "speedup" per bench (the merged file still
-validates under the same schema).
-
-Comparing runs from *different execution backends* is refused by default:
-a sequential-vs-threads wall-clock delta measures the backend, not the
-code change under test. Pass --allow-backend-mismatch when that backend
-speedup is exactly what you mean to measure (checksums still must match —
-the backends are bit-identical by contract).
-
-Comparing runs from *different kernel variants* (scalar vs blocked, files
-before v4 default to "scalar") is likewise refused by default; pass
---allow-variant-mismatch when the blocked path's speedup over scalar is
-the measurement you want. Unlike a backend mismatch, the blocked variant
-drops block-wise (Frobenius norm over register tiles), so its factors —
-and hence its checksums — legitimately differ from scalar: with
---allow-variant-mismatch a checksum mismatch is reported as a note, not a
-failure.
-
-Exit status 0 on success, 1 on any violation.
+Stdlib only, no third-party dependencies. Exit status 0 on success, 1 on
+any violation.
 
 Usage:
   check_bench_json.py BENCH.json
-  check_bench_json.py --compare OLD.json NEW.json [--require-speedup 1.3]
-                      [--out MERGED.json] [--allow-backend-mismatch]
-                      [--allow-variant-mismatch]
+  check_bench_json.py --compare OLD.json NEW.json [--allow-backend-mismatch]
 """
 
 import argparse
 import json
 import sys
 
-SCHEMAS = {"ptilu-bench-wallclock-v1", "ptilu-bench-wallclock-v2",
-           "ptilu-bench-wallclock-v3", "ptilu-bench-wallclock-v4"}
 SCALE_SCHEMA = "ptilu-bench-scale-v1"
 SERVE_SCHEMA = "ptilu-bench-serve-v1"
-# v2 added the execution backend; v3 added optional per-bench
-# report_checksum; v4 added the top-level kernel variant.
-SCHEMAS_WITH_BACKEND = {"ptilu-bench-wallclock-v2", "ptilu-bench-wallclock-v3",
-                        "ptilu-bench-wallclock-v4"}
-SCHEMAS_WITH_REPORT = {"ptilu-bench-wallclock-v3", "ptilu-bench-wallclock-v4"}
-SCHEMA_V4 = "ptilu-bench-wallclock-v4"
+SCHEMAS = (SCALE_SCHEMA, SERVE_SCHEMA)
 BACKENDS = {"sequential", "threads"}
-VARIANTS = {"scalar", "blocked"}
-KINDS = {"factorization", "solve"}
-REL_EPS = 1e-9
 
 
 def load(path, errors):
@@ -202,15 +146,6 @@ def validate_scale(doc, path, errors):
                     errors.append(f"{pwhere}: missing numeric 'efficiency'")
                 elif abs(got - ratio) > 1e-9 * max(1.0, abs(ratio)):
                     errors.append(f"{pwhere}: 'efficiency' is {got!r}, recomputed {ratio!r}")
-
-
-def _schema_family(doc):
-    schema = doc.get("schema")
-    if schema == SCALE_SCHEMA:
-        return "scale"
-    if schema == SERVE_SCHEMA:
-        return "serve"
-    return "wallclock"
 
 
 def _is_hex16(value):
@@ -447,173 +382,12 @@ def validate(doc, path, errors):
     """Append schema violations for doc to errors."""
     if not isinstance(doc, dict):
         errors.append(f"{path}: top level is not a JSON object")
-        return
-    if doc.get("schema") == SCALE_SCHEMA:
+    elif doc.get("schema") == SCALE_SCHEMA:
         validate_scale(doc, path, errors)
-        return
-    if doc.get("schema") == SERVE_SCHEMA:
+    elif doc.get("schema") == SERVE_SCHEMA:
         validate_serve(doc, path, errors)
-        return
-    if doc.get("schema") not in SCHEMAS:
-        errors.append(
-            f"{path}: schema is {doc.get('schema')!r}, want one of "
-            f"{sorted(SCHEMAS | {SCALE_SCHEMA, SERVE_SCHEMA})}")
-    if doc.get("schema") in SCHEMAS_WITH_BACKEND:
-        if doc.get("backend") not in BACKENDS:
-            errors.append(
-                f"{path}: 'backend' is {doc.get('backend')!r}, want one of {sorted(BACKENDS)}")
-        threads = doc.get("threads")
-        if not isinstance(threads, int) or threads < 0:
-            errors.append(f"{path}: 'threads' must be a non-negative int")
-    if doc.get("schema") == SCHEMA_V4:
-        if doc.get("variant") not in VARIANTS:
-            errors.append(
-                f"{path}: 'variant' is {doc.get('variant')!r}, want one of "
-                f"{sorted(VARIANTS)}")
-        # Blocked runs record their amalgamation knobs for reproducibility.
-        if doc.get("variant") == "blocked":
-            if not isinstance(doc.get("panel"), int) or doc.get("panel") < 1:
-                errors.append(f"{path}: blocked runs need a positive int 'panel'")
-            slack = doc.get("slack")
-            if not isinstance(slack, (int, float)) or slack < 0:
-                errors.append(f"{path}: blocked runs need a non-negative 'slack'")
-        else:
-            for key in ("panel", "slack"):
-                if key in doc:
-                    errors.append(f"{path}: '{key}' only applies to blocked runs")
-    elif "variant" in doc:
-        errors.append(f"{path}: 'variant' requires schema v4")
-    if not isinstance(doc.get("quick"), bool):
-        errors.append(f"{path}: missing boolean 'quick'")
-    reps = doc.get("repetitions")
-    if not isinstance(reps, int) or reps < 1:
-        errors.append(f"{path}: 'repetitions' must be a positive int")
-        reps = None
-    benches = doc.get("benches")
-    if not isinstance(benches, list) or not benches:
-        errors.append(f"{path}: 'benches' must be a non-empty list")
-        return
-    seen = set()
-    for i, bench in enumerate(benches):
-        where = f"{path}: benches[{i}]"
-        if not isinstance(bench, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        name = bench.get("name")
-        if not isinstance(name, str) or not name:
-            errors.append(f"{where}: missing name")
-        elif name in seen:
-            errors.append(f"{where}: duplicate name {name!r}")
-        else:
-            seen.add(name)
-        if not isinstance(bench.get("workload"), str):
-            errors.append(f"{where}: missing workload")
-        if bench.get("kind") not in KINDS:
-            errors.append(f"{where}: kind {bench.get('kind')!r} not in {sorted(KINDS)}")
-        for key in ("n", "nnz"):
-            if not isinstance(bench.get(key), int) or bench.get(key) <= 0:
-                errors.append(f"{where}: '{key}' must be a positive int")
-        if not isinstance(bench.get("checksum"), (int, float)):
-            errors.append(f"{where}: missing numeric checksum")
-        report_checksum = bench.get("report_checksum")
-        if report_checksum is not None:
-            if doc.get("schema") not in SCHEMAS_WITH_REPORT:
-                errors.append(f"{where}: report_checksum requires schema v3+")
-            elif (not isinstance(report_checksum, str) or len(report_checksum) != 16
-                  or any(c not in "0123456789abcdef" for c in report_checksum)):
-                errors.append(
-                    f"{where}: report_checksum must be 16 lowercase hex digits, "
-                    f"got {report_checksum!r}")
-        samples = bench.get("reps_s")
-        if (not isinstance(samples, list) or not samples
-                or not all(isinstance(s, (int, float)) and s > 0 for s in samples)):
-            errors.append(f"{where}: 'reps_s' must be a list of positive numbers")
-            continue
-        if reps is not None and len(samples) != reps:
-            errors.append(f"{where}: {len(samples)} samples, expected {reps}")
-        ordered = sorted(samples)
-        mid = len(ordered) // 2
-        median = ordered[mid] if len(ordered) % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
-        for key, want in (("median_s", median), ("min_s", ordered[0]), ("max_s", ordered[-1])):
-            got = bench.get(key)
-            if not isinstance(got, (int, float)):
-                errors.append(f"{where}: missing numeric '{key}'")
-            elif abs(got - want) > REL_EPS + 1e-6 * abs(want):
-                errors.append(f"{where}: '{key}' is {got}, samples say {want}")
-
-
-def compare(baseline, current, args, errors):
-    # v1 files predate Options::backend, when only the sequential
-    # interpreter existed.
-    base_backend = baseline.get("backend", "sequential")
-    cur_backend = current.get("backend", "sequential")
-    if base_backend != cur_backend and not args.allow_backend_mismatch:
-        errors.append(
-            f"execution backend mismatch (baseline {base_backend!r}, current "
-            f"{cur_backend!r}): the speedup would measure the backend, not the "
-            f"change under test — pass --allow-backend-mismatch if that is intended")
-        return
-    # Pre-v4 files predate the blocked kernels, when only scalar existed.
-    base_variant = baseline.get("variant", "scalar")
-    cur_variant = current.get("variant", "scalar")
-    variant_mismatch = base_variant != cur_variant
-    if variant_mismatch and not args.allow_variant_mismatch:
-        errors.append(
-            f"kernel variant mismatch (baseline {base_variant!r}, current "
-            f"{cur_variant!r}): the speedup would mix scalar and blocked kernels "
-            f"— pass --allow-variant-mismatch if measuring the blocked path's "
-            f"speedup is intended")
-        return
-    base_by_name = {b["name"]: b for b in baseline["benches"]}
-    rows = []
-    for bench in current["benches"]:
-        name = bench["name"]
-        base = base_by_name.get(name)
-        if base is None:
-            print(f"note: bench {name!r} has no baseline entry, skipped")
-            continue
-        if abs(base["checksum"] - bench["checksum"]) > 1e-9 * max(
-                1.0, abs(base["checksum"])):
-            if variant_mismatch:
-                # Blocked dropping is block-wise, so its factors (and hence
-                # checksums) legitimately differ from scalar's.
-                print(f"note: {name}: checksum differs (baseline "
-                      f"{base['checksum']!r}, current {bench['checksum']!r}) — "
-                      f"expected across kernel variants")
-            else:
-                errors.append(
-                    f"{name}: checksum mismatch (baseline {base['checksum']!r}, "
-                    f"current {bench['checksum']!r}) — builds disagree numerically")
-                continue
-        base_report = base.get("report_checksum")
-        cur_report = bench.get("report_checksum")
-        if (base_report is not None and cur_report is not None
-                and base_report != cur_report):
-            print(f"note: {name}: report_checksum differs (baseline {base_report}, "
-                  f"current {cur_report}) — same numerical result, but the builds "
-                  f"distribute modeled time/traffic across phases differently; "
-                  f"compare the run reports for the critical-path shift")
-        speedup = base["median_s"] / bench["median_s"]
-        rows.append((name, bench["kind"], base["median_s"], bench["median_s"], speedup))
-        bench["baseline_median_s"] = base["median_s"]
-        bench["speedup"] = round(speedup, 4)
-    if not rows:
-        errors.append("no comparable benches between the two files")
-        return
-    print(f"{'bench':<20} {'kind':<14} {'baseline':>10} {'current':>10} {'speedup':>8}")
-    for name, kind, base_s, cur_s, speedup in rows:
-        print(f"{name:<20} {kind:<14} {base_s:>9.4f}s {cur_s:>9.4f}s {speedup:>7.2f}x")
-    if args.require_speedup is not None:
-        for name, kind, _, _, speedup in rows:
-            if kind == "factorization" and speedup < args.require_speedup:
-                errors.append(
-                    f"{name}: speedup {speedup:.2f}x below required "
-                    f"{args.require_speedup:.2f}x")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(current, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.out}")
+    else:
+        errors.append(f"{path}: schema is {doc.get('schema')!r}, want one of {list(SCHEMAS)}")
 
 
 def main() -> int:
@@ -622,18 +396,10 @@ def main() -> int:
     parser.add_argument("files", nargs="+",
                         help="one file to validate, or two with --compare")
     parser.add_argument("--compare", action="store_true",
-                        help="treat files as BASELINE CURRENT and report speedups")
-    parser.add_argument("--require-speedup", type=float, default=None,
-                        help="fail unless every factorization bench reaches this speedup")
-    parser.add_argument("--out", default=None,
-                        help="with --compare: write CURRENT merged with baseline medians")
+                        help="treat files as BASELINE CURRENT and report throughput ratios")
     parser.add_argument("--allow-backend-mismatch", action="store_true",
                         help="permit --compare across different execution backends "
                              "(e.g. to measure the threaded backend's speedup)")
-    parser.add_argument("--allow-variant-mismatch", action="store_true",
-                        help="permit --compare across different kernel variants "
-                             "(e.g. to measure the blocked path's speedup over "
-                             "scalar); checksum mismatches become notes")
     args = parser.parse_args()
 
     if args.compare and len(args.files) != 2:
@@ -647,20 +413,17 @@ def main() -> int:
         if doc is not None:
             validate(doc, path, errors)
     if not errors and args.compare:
-        families = [_schema_family(doc) for doc in docs]
-        if families[0] != families[1]:
+        schemas = [doc["schema"] for doc in docs]
+        if schemas[0] != schemas[1]:
             errors.append(
-                f"--compare refuses cross-family files ({families[0]} vs "
-                f"{families[1]}): their metrics measure different things")
-        elif families[0] == "scale":
+                f"--compare refuses cross-family files ({schemas[0]} vs "
+                f"{schemas[1]}): their metrics measure different things")
+        elif schemas[0] == SCALE_SCHEMA:
             errors.append(
-                "--compare supports wallclock and serve files only: bench_scale "
-                "output is deterministic modeled time, so a run-over-run ratio "
-                "is meaningless")
-        elif families[0] == "serve":
-            compare_serve(docs[0], docs[1], args, errors)
+                "--compare supports serve files only: bench_scale output is "
+                "deterministic modeled time, so a run-over-run ratio is meaningless")
         else:
-            compare(docs[0], docs[1], args, errors)
+            compare_serve(docs[0], docs[1], args, errors)
 
     if errors:
         for error in errors:
@@ -674,16 +437,12 @@ def main() -> int:
             print(f"OK: {args.files[0]}: {len(doc['sweeps'])} sweeps, "
                   f"{npoints} points, workload {doc['workload']}, "
                   f"backend {doc['backend']}")
-        elif doc.get("schema") == SERVE_SCHEMA:
+        else:
             print(f"OK: {args.files[0]}: {len(doc['apply_benches'])} apply benches, "
                   f"{len(doc['stream_benches'])} stream benches, "
                   f"{len(doc['dist_benches'])} dist benches, "
                   f"{doc['requests']} requests, backend {doc['backend']}, "
                   f"exact={str(doc['exact']).lower()}")
-        else:
-            print(f"OK: {args.files[0]}: {len(doc['benches'])} benches, "
-                  f"{doc['repetitions']} repetitions, "
-                  f"backend {doc.get('backend', 'sequential')}")
     return 0
 
 

@@ -1,28 +1,18 @@
 #!/usr/bin/env python3
 """Validate ptilu-report-v2 run reports (sim::Metrics::write_report output).
 
-v1 compatibility: reports with "schema": "ptilu-report-v1" (written before
-the sparse-routing change) are still accepted and validated under the v1
-rules. The v1 -> v2 delta is:
-  * "collective_messages"/"collective_bytes" were nranks-long per-rank
-    arrays in v1; Machine::collective charges every rank identically, so
-    the arrays were rank-uniform by construction and v2 stores the single
-    per-rank value as a scalar;
-  * v2 phases additionally carry a sparse-comm summary ("comm_pairs",
-    "comm_messages", "comm_bytes", "comm_max_fanout") recomputable from
-    the "comm" cell list — validated exactly below.
-Everything else (identities, reconciliation, counters) is unchanged.
-
 Checks (stdlib only, no third-party dependencies):
 
 Structural:
-  * "schema" is "ptilu-report-v2" (or legacy v1), "ranks" a positive int,
+  * "schema" is "ptilu-report-v2", "ranks" a positive int,
     "run" an object;
   * every phase has a unique name and per-rank arrays of exactly `ranks`
     entries (busy_s, idle_s, critical_s, critical_steps); scalar
-    collective_messages/collective_bytes (v2) or per-rank arrays (v1);
-    comm cells carry in-range from/to ranks and non-negative integer
-    messages/bytes; the v2 comm summary matches the cell list exactly;
+    collective_messages/collective_bytes (the rank-uniform per-rank
+    value); comm cells carry in-range from/to ranks and non-negative
+    integer messages/bytes; the comm summary ("comm_pairs",
+    "comm_messages", "comm_bytes", "comm_max_fanout") matches the cell
+    list exactly;
   * every counter's "total" equals the exact sum of its "per_rank" slots.
 
 Bit-exact identities (no tolerance — the collector guarantees them, see
@@ -56,7 +46,6 @@ import math
 import sys
 
 SCHEMA = "ptilu-report-v2"
-LEGACY_SCHEMAS = ("ptilu-report-v1",)
 PER_RANK_REAL = ("busy_s", "idle_s", "critical_s")
 PER_RANK_INT = ("critical_steps",)
 REL_EPS = 1e-9
@@ -71,11 +60,9 @@ def validate(doc, path, errors):
         errors.append(f"{path}: top level is not a JSON object")
         return
     schema = doc.get("schema")
-    if schema != SCHEMA and schema not in LEGACY_SCHEMAS:
-        errors.append(f"{path}: schema is {schema!r}, want {SCHEMA!r} "
-                      f"(or legacy {', '.join(LEGACY_SCHEMAS)})")
+    if schema != SCHEMA:
+        errors.append(f"{path}: schema is {schema!r}, want {SCHEMA!r}")
         return
-    legacy_v1 = schema == "ptilu-report-v1"
     ranks = doc.get("ranks")
     if not isinstance(ranks, int) or ranks < 1:
         errors.append(f"{path}: 'ranks' must be a positive int")
@@ -129,18 +116,12 @@ def validate(doc, path, errors):
                     isinstance(v, int) and v >= 0 for v in values):
                 errors.append(f"{where}: '{key}' entries must be non-negative ints")
                 shaped = False
-        # Collective-tree accounting: per-rank arrays in legacy v1, scalars
-        # (the rank-uniform per-rank value) in v2.
+        # Collective-tree accounting: Machine::collective charges every rank
+        # identically, so one scalar holds the per-rank value.
         for key in ("collective_messages", "collective_bytes"):
             value = phase.get(key)
-            if legacy_v1:
-                if (not isinstance(value, list) or len(value) != ranks
-                        or not all(isinstance(v, int) and v >= 0 for v in value)):
-                    errors.append(f"{where}: '{key}' must be {ranks} "
-                                  f"non-negative ints (v1)")
-                    shaped = False
-            elif not isinstance(value, int) or value < 0:
-                errors.append(f"{where}: '{key}' must be a non-negative int (v2)")
+            if not isinstance(value, int) or value < 0:
+                errors.append(f"{where}: '{key}' must be a non-negative int")
                 shaped = False
         if not shaped:
             continue
@@ -209,25 +190,20 @@ def validate(doc, path, errors):
             cell_bytes += nbytes
             sent_messages[src] += msgs
             sent_bytes[src] += nbytes
-        if legacy_v1:
-            for r in range(ranks):
-                sent_messages[r] += phase["collective_messages"][r]
-                sent_bytes[r] += phase["collective_bytes"][r]
-        else:
-            for r in range(ranks):
-                sent_messages[r] += phase["collective_messages"]
-                sent_bytes[r] += phase["collective_bytes"]
-            # v2 sparse-comm summary: recomputable exactly from the cells.
-            want_summary = {
-                "comm_pairs": len(comm),
-                "comm_messages": cell_messages,
-                "comm_bytes": cell_bytes,
-                "comm_max_fanout": max(fanout) if fanout else 0,
-            }
-            for key, want in want_summary.items():
-                if phase.get(key) != want:
-                    errors.append(f"{where}: '{key}' is {phase.get(key)!r}, "
-                                  f"recomputed {want} from the comm cells")
+        for r in range(ranks):
+            sent_messages[r] += phase["collective_messages"]
+            sent_bytes[r] += phase["collective_bytes"]
+        # Sparse-comm summary: recomputable exactly from the cells.
+        want_summary = {
+            "comm_pairs": len(comm),
+            "comm_messages": cell_messages,
+            "comm_bytes": cell_bytes,
+            "comm_max_fanout": max(fanout) if fanout else 0,
+        }
+        for key, want in want_summary.items():
+            if phase.get(key) != want:
+                errors.append(f"{where}: '{key}' is {phase.get(key)!r}, "
+                              f"recomputed {want} from the comm cells")
 
     if total_supersteps != doc.get("supersteps"):
         errors.append(

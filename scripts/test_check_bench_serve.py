@@ -10,7 +10,7 @@ through check_serve_report.py instead (same ok_/bad_ convention). On top
 of the per-file sweep it exercises the --compare dispatch: serve-vs-serve
 with wall data succeeds, --exact files are refused (no wall data), a
 payload-checksum mismatch is refused (different batch plans), and a
-serve file compared against a wallclock file is refused as cross-family.
+serve file compared against a bench_scale file is refused as cross-family.
 
 Invoked as `test_check_bench_serve.py --cross-backend A.json B.json` it
 instead checks backend-identical execution: two --exact serve files must
@@ -129,19 +129,24 @@ def main() -> int:
             failures.append(
                 f"checksum-mismatch compare should be refused:\n{proc.stdout}")
 
-        # Cross-family refusal: a minimal valid wallclock-v1 doc against a
+        # Cross-family refusal: a minimal valid bench_scale doc against a
         # serve doc must be rejected regardless of argument order.
-        wallclock = os.path.join(tmp, "wallclock.json")
-        with open(wallclock, "w", encoding="utf-8") as handle:
+        scale = os.path.join(tmp, "scale.json")
+        with open(scale, "w", encoding="utf-8") as handle:
             json.dump({
-                "schema": "ptilu-bench-wallclock-v1",
-                "quick": False, "repetitions": 1,
-                "benches": [{"name": "factor", "workload": "G0",
-                             "kind": "factorization", "n": 16, "nnz": 64,
-                             "checksum": 1.0, "reps_s": [0.5],
-                             "median_s": 0.5, "min_s": 0.5, "max_s": 0.5}],
+                "schema": "ptilu-bench-scale-v1",
+                "workload": "g0", "backend": "sequential", "smoke": True,
+                "sweeps": [{"mode": "weak", "points": [{
+                    "p": 4, "n": 16, "nnz": 64, "rows_max": 4, "supersteps": 1,
+                    "messages": 0, "bytes": 0, "max_fanout": 0,
+                    "modeled_factor_s": 0.25, "modeled_trisolve_s": 0.25,
+                    "modeled_gmres_s": 0.5, "modeled_total_s": 1.0,
+                    "efficiency": 1.0}]}],
             }, handle)
-        for pair in ((wallclock, ok_wall), (ok_wall, wallclock)):
+        proc = run_checker(scale)
+        if proc.returncode != 0:
+            failures.append(f"the minimal scale doc should validate:\n{proc.stdout}")
+        for pair in ((scale, ok_wall), (ok_wall, scale)):
             proc = run_checker("--compare", *pair)
             if proc.returncode == 0 or "cross-family" not in proc.stdout:
                 failures.append(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <numeric>
 
 #include "ptilu/support/check.hpp"
 
@@ -66,103 +65,6 @@ void select_largest(SparseRow& row, idx keep_count, real tau, idx always_keep,
 void select_largest(SparseRow& row, idx keep_count, real tau, idx always_keep) {
   std::vector<std::pair<idx, real>> kept;
   select_largest(row, keep_count, tau, always_keep, kept);
-}
-
-nnz_t BlockedFactors::stored_entries() const {
-  nnz_t total = 0;
-  for (idx p = 0; p < n_panels(); ++p) {
-    const nnz_t nb = width(p);
-    total += nb * nb +
-             nb * static_cast<nnz_t>(lcols[p].size() + ucols[p].size());
-  }
-  return total;
-}
-
-nnz_t BlockedFactors::nnz() const {
-  nnz_t total = 0;
-  for (idx p = 0; p < n_panels(); ++p) {
-    const int nb = width(p);
-    for (const real v : lvals[p]) total += v != 0.0;
-    for (const real v : uvals[p]) total += v != 0.0;
-    for (int j = 0; j < nb; ++j) {
-      ++total;  // the always-stored U diagonal
-      for (int jj = 0; jj < nb; ++jj) {
-        if (jj != j) total += diag[p][static_cast<std::size_t>(j) * nb + jj] != 0.0;
-      }
-    }
-  }
-  return total;
-}
-
-void BlockedFactors::validate() const {
-  const idx np = n_panels();
-  PTILU_CHECK(np >= 0 && !panel_start.empty() && panel_start.front() == 0 &&
-                  panel_start.back() == n,
-              "panel boundaries must cover [0, n)");
-  PTILU_CHECK(static_cast<idx>(lcols.size()) == np && static_cast<idx>(lvals.size()) == np &&
-                  static_cast<idx>(diag.size()) == np &&
-                  static_cast<idx>(ucols.size()) == np && static_cast<idx>(uvals.size()) == np,
-              "per-panel array count mismatch");
-  for (idx p = 0; p < np; ++p) {
-    const idx r0 = panel_start[p];
-    const int nb = width(p);
-    PTILU_CHECK(nb >= 1 && (nb & (nb - 1)) == 0, "panel " << p << " width not a power of two");
-    PTILU_CHECK(diag[p].size() == static_cast<std::size_t>(nb) * nb,
-                "diagonal block size mismatch at panel " << p);
-    for (int j = 0; j < nb; ++j) {
-      PTILU_CHECK(diag[p][static_cast<std::size_t>(j) * nb + j] != 0.0,
-                  "zero U diagonal in panel " << p << " row " << r0 + j);
-    }
-    PTILU_CHECK(lvals[p].size() == lcols[p].size() * static_cast<std::size_t>(nb) &&
-                    uvals[p].size() == ucols[p].size() * static_cast<std::size_t>(nb),
-                "tile storage size mismatch at panel " << p);
-    for (std::size_t k = 0; k < lcols[p].size(); ++k) {
-      PTILU_CHECK(lcols[p][k] < r0, "L column inside/after panel " << p);
-      PTILU_CHECK(k == 0 || lcols[p][k - 1] < lcols[p][k], "L columns unsorted at panel " << p);
-    }
-    for (std::size_t k = 0; k < ucols[p].size(); ++k) {
-      PTILU_CHECK(ucols[p][k] >= r0 + nb, "U column inside/before panel " << p);
-      PTILU_CHECK(k == 0 || ucols[p][k - 1] < ucols[p][k], "U columns unsorted at panel " << p);
-    }
-  }
-}
-
-double BlockedFactors::fill_factor(nnz_t nnz_a) const {
-  PTILU_CHECK(nnz_a > 0, "empty matrix");
-  return static_cast<double>(nnz()) / static_cast<double>(nnz_a);
-}
-
-IluFactors BlockedFactors::to_csr() const {
-  std::vector<SparseRow> lrows(n), urows(n);
-  for (idx p = 0; p < n_panels(); ++p) {
-    const idx r0 = panel_start[p];
-    const int nb = width(p);
-    for (int j = 0; j < nb; ++j) {
-      const idx i = r0 + j;
-      SparseRow& lrow = lrows[i];
-      SparseRow& urow = urows[i];
-      for (std::size_t k = 0; k < lcols[p].size(); ++k) {
-        const real v = lvals[p][k * static_cast<std::size_t>(nb) + j];
-        if (v != 0.0) lrow.push(lcols[p][k], v);
-      }
-      const real* drow = diag[p].data() + static_cast<std::size_t>(j) * nb;
-      for (int jj = 0; jj < j; ++jj) {
-        if (drow[jj] != 0.0) lrow.push(r0 + jj, drow[jj]);
-      }
-      urow.push(i, drow[j]);  // diagonal first
-      for (int jj = j + 1; jj < nb; ++jj) {
-        if (drow[jj] != 0.0) urow.push(r0 + jj, drow[jj]);
-      }
-      for (std::size_t k = 0; k < ucols[p].size(); ++k) {
-        const real v = uvals[p][k * static_cast<std::size_t>(nb) + j];
-        if (v != 0.0) urow.push(ucols[p][k], v);
-      }
-    }
-  }
-  IluFactors out;
-  out.l = rows_to_csr(n, lrows);
-  out.u = rows_to_csr(n, urows);
-  return out;
 }
 
 Csr rows_to_csr(idx n, const std::vector<SparseRow>& rows) {

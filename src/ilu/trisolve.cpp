@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ptilu/ilu/block_kernels.hpp"
 #include "ptilu/support/check.hpp"
 
 namespace ptilu {
@@ -51,63 +50,6 @@ void ilu_apply_permuted(const IluFactors& factors, const IdxVec& new_of,
   for (idx i = 0; i < n; ++i) px[new_of[i]] = b[i];
   ilu_apply(factors, px, px);  // both sweeps run in place
   for (idx i = 0; i < n; ++i) x[i] = px[new_of[i]];
-}
-
-void forward_solve(const BlockedFactors& f, std::span<const real> b, std::span<real> y) {
-  PTILU_CHECK(b.size() == static_cast<std::size_t>(f.n) && y.size() == b.size(),
-              "forward_solve size mismatch");
-  real acc[64];  // panel accumulator; widths are capped far below this
-  for (idx p = 0; p < f.n_panels(); ++p) {
-    const idx r0 = f.panel_start[p];
-    const int nb = f.width(p);
-    PTILU_ASSERT(nb <= 64, "panel width exceeds the solve accumulator");
-    for (int j = 0; j < nb; ++j) acc[j] = b[r0 + j];
-    // External gather: acc -= tile(c) * y[c], the tile_axpy kernel again.
-    const IdxVec& cols = f.lcols[p];
-    const RealVec& vals = f.lvals[p];
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      tile_axpy_any(nb, acc, vals.data() + k * static_cast<std::size_t>(nb), y[cols[k]]);
-    }
-    // Intra-panel unit-lower substitution against the diagonal block.
-    const real* diag = f.diag[p].data();
-    for (int j = 0; j < nb; ++j) {
-      real v = acc[j];
-      for (int jp = 0; jp < j; ++jp) v -= diag[j * nb + jp] * acc[jp];
-      acc[j] = v;
-      y[r0 + j] = v;
-    }
-  }
-}
-
-void backward_solve(const BlockedFactors& f, std::span<const real> y, std::span<real> x) {
-  PTILU_CHECK(y.size() == static_cast<std::size_t>(f.n) && x.size() == y.size(),
-              "backward_solve size mismatch");
-  real acc[64];
-  for (idx p = f.n_panels() - 1; p >= 0; --p) {
-    const idx r0 = f.panel_start[p];
-    const int nb = f.width(p);
-    PTILU_ASSERT(nb <= 64, "panel width exceeds the solve accumulator");
-    for (int j = 0; j < nb; ++j) acc[j] = y[r0 + j];
-    const IdxVec& cols = f.ucols[p];
-    const RealVec& vals = f.uvals[p];
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      tile_axpy_any(nb, acc, vals.data() + k * static_cast<std::size_t>(nb), x[cols[k]]);
-    }
-    // Intra-panel back-substitution with the stored U diagonal block.
-    const real* diag = f.diag[p].data();
-    for (int j = nb - 1; j >= 0; --j) {
-      real v = acc[j];
-      for (int jj = j + 1; jj < nb; ++jj) v -= diag[j * nb + jj] * x[r0 + jj];
-      x[r0 + j] = v / diag[j * nb + j];
-    }
-  }
-}
-
-void ilu_apply(const BlockedFactors& f, std::span<const real> b, std::span<real> x) {
-  // In place like the scalar apply: each panel loads its y rows into the
-  // accumulators before writing its x rows.
-  forward_solve(f, b, x);
-  backward_solve(f, x, x);
 }
 
 namespace {
@@ -205,89 +147,6 @@ void ilu_apply(const IluFactors& factors, const DenseRhsBlock& b, DenseRhsBlock&
   // place on the forward result.
   forward_solve(factors.l, b, x);
   backward_solve(factors.u, x, x);
-}
-
-void forward_solve(const BlockedFactors& f, const DenseRhsBlock& b, DenseRhsBlock& y) {
-  check_block_shapes(f.n, b, y, "forward_solve");
-  const std::size_t stride = static_cast<std::size_t>(f.n);
-  real acc[64 * kMaxRhsGroup];  // kc column-major nb-tiles; nb capped at 64
-  for (int c0 = 0; c0 < b.k; c0 += kMaxRhsGroup) {
-    const int kc = std::min(kMaxRhsGroup, b.k - c0);
-    const real* bcol = b.data.data() + static_cast<std::size_t>(c0) * stride;
-    real* ycol = y.data.data() + static_cast<std::size_t>(c0) * stride;
-    for (idx p = 0; p < f.n_panels(); ++p) {
-      const idx r0 = f.panel_start[p];
-      const int nb = f.width(p);
-      PTILU_ASSERT(nb <= 64, "panel width exceeds the solve accumulator");
-      for (int c = 0; c < kc; ++c) {
-        for (int j = 0; j < nb; ++j) {
-          acc[c * nb + j] = bcol[c * stride + static_cast<std::size_t>(r0 + j)];
-        }
-      }
-      const IdxVec& cols = f.lcols[p];
-      const RealVec& vals = f.lvals[p];
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        tile_axpy_rhs_any(nb, kc, acc, vals.data() + k * static_cast<std::size_t>(nb),
-                          ycol + cols[k], stride);
-      }
-      const real* diag = f.diag[p].data();
-      for (int c = 0; c < kc; ++c) {
-        real* a = acc + c * nb;
-        for (int j = 0; j < nb; ++j) {
-          real v = a[j];
-          for (int jp = 0; jp < j; ++jp) v -= diag[j * nb + jp] * a[jp];
-          a[j] = v;
-          ycol[c * stride + static_cast<std::size_t>(r0 + j)] = v;
-        }
-      }
-    }
-  }
-}
-
-void backward_solve(const BlockedFactors& f, const DenseRhsBlock& y, DenseRhsBlock& x) {
-  check_block_shapes(f.n, y, x, "backward_solve");
-  const std::size_t stride = static_cast<std::size_t>(f.n);
-  real acc[64 * kMaxRhsGroup];
-  for (int c0 = 0; c0 < y.k; c0 += kMaxRhsGroup) {
-    const int kc = std::min(kMaxRhsGroup, y.k - c0);
-    const real* ycol = y.data.data() + static_cast<std::size_t>(c0) * stride;
-    real* xcol = x.data.data() + static_cast<std::size_t>(c0) * stride;
-    for (idx p = f.n_panels() - 1; p >= 0; --p) {
-      const idx r0 = f.panel_start[p];
-      const int nb = f.width(p);
-      PTILU_ASSERT(nb <= 64, "panel width exceeds the solve accumulator");
-      for (int c = 0; c < kc; ++c) {
-        for (int j = 0; j < nb; ++j) {
-          acc[c * nb + j] = ycol[c * stride + static_cast<std::size_t>(r0 + j)];
-        }
-      }
-      const IdxVec& cols = f.ucols[p];
-      const RealVec& vals = f.uvals[p];
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        tile_axpy_rhs_any(nb, kc, acc, vals.data() + k * static_cast<std::size_t>(nb),
-                          xcol + cols[k], stride);
-      }
-      const real* diag = f.diag[p].data();
-      for (int c = 0; c < kc; ++c) {
-        real* a = acc + c * nb;
-        real* xc = xcol + c * stride;
-        for (int j = nb - 1; j >= 0; --j) {
-          real v = a[j];
-          for (int jj = j + 1; jj < nb; ++jj) {
-            v -= diag[j * nb + jj] * xc[static_cast<std::size_t>(r0 + jj)];
-          }
-          xc[static_cast<std::size_t>(r0 + j)] = v / diag[j * nb + j];
-        }
-      }
-    }
-  }
-}
-
-void ilu_apply(const BlockedFactors& f, const DenseRhsBlock& b, DenseRhsBlock& x) {
-  // In place like the scalar batched apply: each panel loads its Y rows
-  // into the accumulators before writing its X rows.
-  forward_solve(f, b, x);
-  backward_solve(f, x, x);
 }
 
 }  // namespace ptilu

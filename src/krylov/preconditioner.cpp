@@ -39,13 +39,4 @@ void IluPreconditioner::apply(std::span<const real> b, std::span<real> x) const 
   }
 }
 
-BlockedIluPreconditioner::BlockedIluPreconditioner(BlockedFactors factors)
-    : factors_(std::move(factors)) {
-  factors_.validate();
-}
-
-void BlockedIluPreconditioner::apply(std::span<const real> b, std::span<real> x) const {
-  ilu_apply(factors_, b, x);
-}
-
 }  // namespace ptilu

@@ -105,9 +105,11 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
         flops += pilut_detail::eliminate_cascading(w, state, tau_i, heap, eliminatable,
                                                    tally);
 
-        SparseRow& lstage = scratch.lstage;
+        // The stage's multipliers join the L part gathered so far (interior
+        // columns and earlier stages' columns: disjoint from this stage's),
+        // and the 3rd dropping rule runs over the whole row, as in pass 2.
+        SparseRow& lrow = state.lparts[fi];
         SparseRow& ustage = scratch.ustage;
-        lstage.clear();
         ustage.clear();
         real diag = 0.0;
         for (const idx c : w.touched()) {
@@ -115,23 +117,22 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
           if (c == i) {
             diag = v;
           } else if (eliminatable(c)) {
-            if (v != 0.0) lstage.push(c, v);  // multiplier -> L
+            if (v != 0.0) lrow.push(c, v);  // multiplier -> L
           } else {
             ustage.push(c, v);  // factored later (larger new number)
           }
         }
-        const std::size_t staged = lstage.size() + ustage.size();
-        select_largest(lstage, opts.m, tau_i, -1, scratch.kept);
+        const std::size_t staged = lrow.size() + ustage.size();
+        select_largest(lrow, opts.m, tau_i, -1, scratch.kept);  // 3rd dropping rule
         select_largest(ustage, opts.m, tau_i, -1, scratch.kept);
-        tally.dropped += staged - lstage.size() - ustage.size();
+        tally.dropped += staged - lrow.size() - ustage.size();
         diag = safeguard_pivot(i, diag,
                                opts.pivot_rel > 0.0 ? opts.pivot_rel * norms[i] : 0.0,
                                tally.guarded);
-        // The stage's multipliers replace the L part gathered so far.
-        state.l.put(r, i, lstage);
+        state.l.put(r, i, lrow);
         state.u.put_diag_first(r, i, diag, ustage);
         tail = SparseRow{};  // the row is finished: free its working storage
-        state.lparts[fi] = SparseRow{};
+        lrow = SparseRow{};
         w.clear();
       }
 

@@ -6,7 +6,6 @@
 #include <span>
 #include <tuple>
 
-#include "ptilu/ilu/block_kernels.hpp"
 #include "ptilu/sim/trace.hpp"
 #include "ptilu/support/check.hpp"
 
@@ -16,6 +15,14 @@ namespace {
 
 constexpr int kTagIdx = 20;
 constexpr int kTagVal = 21;
+
+/// acc[c] -= a * s[c * s_stride] for c in [0, K): one CSR entry against K
+/// solution columns, the inner kernel of the sweeps, single- and multi-RHS.
+template <int K>
+inline void rhs_axpy(real* PTILU_RESTRICT acc, real a, const real* PTILU_RESTRICT s,
+                     std::size_t s_stride) {
+  for (int c = 0; c < K; ++c) acc[c] -= a * s[c * s_stride];
+}
 
 /// Columns per pass over a rank's rows: as many accumulators as stay in
 /// registers, as in the serial batched solves. Wider batches take several

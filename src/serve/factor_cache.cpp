@@ -85,14 +85,6 @@ std::uint64_t matrix_fingerprint(const Csr& a) {
   return avalanche(hash);
 }
 
-const char* factor_variant_name(FactorVariant variant) {
-  switch (variant) {
-    case FactorVariant::kScalar: return "scalar";
-    case FactorVariant::kBlocked: return "blocked";
-  }
-  return "?";
-}
-
 std::size_t FactorCache::capacity_from_env() {
   const char* value = std::getenv("PTILU_SERVE_CACHE_CAP");
   if (value == nullptr || *value == '\0') return 8;
@@ -130,9 +122,13 @@ void FactorCache::bump(std::uint64_t CacheStats::* slot, std::uint32_t counter) 
   if (metrics_ != nullptr) metrics_->add_counter(counter, 0, 1);
 }
 
-std::shared_ptr<const Preconditioner> FactorCache::lookup_or_insert(
-    const FactorKey& key,
-    const std::function<std::shared_ptr<const Preconditioner>()>& build) {
+std::shared_ptr<const Preconditioner> FactorCache::get(const Csr& a,
+                                                       const IlutOptions& opts) {
+  FactorKey key;
+  key.matrix = matrix_fingerprint(a);
+  key.m = opts.m;
+  key.tau = opts.tau;
+  key.pivot_rel = opts.pivot_rel;
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->key == key) {
       bump(&CacheStats::hits, hit_id_);
@@ -141,41 +137,14 @@ std::shared_ptr<const Preconditioner> FactorCache::lookup_or_insert(
     }
   }
   bump(&CacheStats::misses, miss_id_);
-  std::shared_ptr<const Preconditioner> factor = build();
+  std::shared_ptr<const Preconditioner> factor =
+      std::make_shared<IluPreconditioner>(ilut(a, opts));
   entries_.push_front(Entry{key, factor});
   while (entries_.size() > capacity_) {
     entries_.pop_back();
     bump(&CacheStats::evictions, evict_id_);
   }
   return factor;
-}
-
-std::shared_ptr<const Preconditioner> FactorCache::get(const Csr& a,
-                                                       const IlutOptions& opts) {
-  FactorKey key;
-  key.matrix = matrix_fingerprint(a);
-  key.variant = FactorVariant::kScalar;
-  key.m = opts.m;
-  key.tau = opts.tau;
-  key.pivot_rel = opts.pivot_rel;
-  return lookup_or_insert(key, [&]() -> std::shared_ptr<const Preconditioner> {
-    return std::make_shared<IluPreconditioner>(ilut(a, opts));
-  });
-}
-
-std::shared_ptr<const Preconditioner> FactorCache::get_blocked(
-    const Csr& a, const BlockedIlutOptions& opts) {
-  FactorKey key;
-  key.matrix = matrix_fingerprint(a);
-  key.variant = FactorVariant::kBlocked;
-  key.m = opts.base.m;
-  key.tau = opts.base.tau;
-  key.pivot_rel = opts.base.pivot_rel;
-  key.max_panel = opts.panels.max_panel;
-  key.slack = opts.panels.slack;
-  return lookup_or_insert(key, [&]() -> std::shared_ptr<const Preconditioner> {
-    return std::make_shared<BlockedIluPreconditioner>(ilut_blocked(a, opts));
-  });
 }
 
 bool FactorCache::contains(const FactorKey& key) const {

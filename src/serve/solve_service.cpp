@@ -122,10 +122,6 @@ void apply_batch(const Preconditioner& factor, const DenseRhsBlock& b, DenseRhsB
     ilu_apply(scalar->factors(), b, x);
     return;
   }
-  if (const auto* blocked = dynamic_cast<const BlockedIluPreconditioner*>(&factor)) {
-    ilu_apply(blocked->factors(), b, x);
-    return;
-  }
   // Generic fallback (permuted/Jacobi/identity factors): column-at-a-time
   // through the virtual single-RHS interface.
   for (int c = 0; c < b.k; ++c) factor.apply(b.col(c), x.col(c));

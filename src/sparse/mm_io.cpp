@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -16,6 +18,28 @@ std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return s;
+}
+
+/// Parse one value token in full: a decimal or scientific literal with an
+/// optional sign, whose magnitude a double holds. Hexadecimal literals,
+/// trailing characters, NaN and infinities are rejected, each naming the
+/// entry (0-based) and its 1-based coordinates.
+real parse_value(const std::string& token, long long e, long long i, long long j) {
+  const char* first = token.data();
+  const char* last = first + token.size();
+  // from_chars takes no leading '+', which a stream extraction accepts.
+  if (token.size() > 1 && token[0] == '+' && token[1] != '-') ++first;
+  real v = 0.0;
+  const auto [end, ec] = std::from_chars(first, last, v);
+  PTILU_CHECK(ec != std::errc::result_out_of_range,
+              "value '" << token << "' of entry " << e << " (" << i << "," << j
+                        << ") is out of the range of a double");
+  PTILU_CHECK(ec == std::errc() && end == last,
+              "unparseable value '" << token << "' in entry " << e << " (" << i << ","
+                                    << j << ")");
+  PTILU_CHECK(std::isfinite(v), "non-finite value '" << token << "' in entry " << e
+                                                     << " (" << i << "," << j << ")");
+  return v;
 }
 
 }  // namespace
@@ -60,11 +84,15 @@ Csr read_matrix_market(std::istream& in) {
   constexpr long long kMaxReserve = 1LL << 20;
   builder.reserve(static_cast<std::size_t>(std::min(entries, kMaxReserve)) *
                   (symmetry == "general" ? 1 : 2));
+  std::string token;
   for (long long e = 0; e < entries; ++e) {
     long long i = 0, j = 0;
     real v = 1.0;
     PTILU_CHECK(static_cast<bool>(in >> i >> j), "truncated entry " << e);
-    if (field != "pattern") PTILU_CHECK(static_cast<bool>(in >> v), "truncated value " << e);
+    if (field != "pattern") {
+      PTILU_CHECK(static_cast<bool>(in >> token), "truncated value " << e);
+      v = parse_value(token, e, i, j);
+    }
     PTILU_CHECK(i >= 1 && i <= rows && j >= 1 && j <= cols,
                 "entry (" << i << "," << j << ") out of range");
     const idx zi = static_cast<idx>(i - 1);
@@ -75,7 +103,17 @@ Csr read_matrix_market(std::istream& in) {
       if (symmetry == "skew-symmetric") builder.add(zj, zi, -v);
     }
   }
-  return builder.to_csr();
+  // Finite entries can still sum to a non-finite value where duplicates
+  // are assembled.
+  Csr a = builder.to_csr();
+  for (idx r = 0; r < a.n_rows; ++r) {
+    for (nnz_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+      PTILU_CHECK(std::isfinite(a.values[k]),
+                  "entry (" << r + 1 << "," << a.col_idx[k] + 1
+                            << ") assembles to the non-finite value " << a.values[k]);
+    }
+  }
+  return a;
 }
 
 Csr read_matrix_market_file(const std::string& path) {

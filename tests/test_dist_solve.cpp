@@ -215,12 +215,12 @@ constexpr SolveGolden kSolveGolden[] = {
      {0x1.0780d9ad7b922p-9, 85, 1688, 25816},
      {0x1.f31f46ed245b2p-15, 2, 70, 3584}},
     {"g0", Variant::kNested, 4,
-     {0x1.c6a1740a672ccp-12, 11, 32, 1764},
-     {0x1.2bd86f191cc48p-10, 11, 32, 4116},
+     {0x1.01e1d5be2523bp-11, 11, 70, 5208},
+     {0x1.4af2ed72df9b8p-10, 11, 70, 12152},
      {0x1.005aabb8a4229p-13, 2, 10, 1256}},
     {"g0", Variant::kNested, 16,
-     {0x1.4b3a7730744d6p-11, 5, 30, 3840},
-     {0x1.b7eadfd4b3c37p-10, 5, 30, 8960},
+     {0x1.705c5b0b18abfp-11, 5, 60, 9372},
+     {0x1.e92379ea9833p-10, 5, 60, 21868},
      {0x1.f31f46ed245b2p-15, 2, 70, 3584}},
     {"g0", Variant::kPilu0, 4,
      {0x1.ddfb9e467c912p-13, 11, 90, 1896},
@@ -239,12 +239,12 @@ constexpr SolveGolden kSolveGolden[] = {
      {0x1.45a59fb8f7bb6p-8, 217, 4492, 70812},
      {0x1.e9a7329049598p-13, 2, 116, 17552}},
     {"torso", Variant::kNested, 4,
-     {0x1.45161adab2fadp-10, 7, 14, 5628},
-     {0x1.d8d40e81f0521p-9, 7, 14, 13132},
+     {0x1.50896b8a4ddd9p-10, 7, 32, 10716},
+     {0x1.e6252fdcb3ed1p-9, 7, 32, 25004},
      {0x1.5c6d211234bb1p-11, 2, 12, 7160}},
     {"torso", Variant::kNested, 16,
-     {0x1.d21faabcc2eeap-10, 5, 30, 6024},
-     {0x1.4eb8e10cbeb82p-8, 5, 30, 14056},
+     {0x1.d595eef634a89p-10, 5, 60, 8616},
+     {0x1.508f56ce01a61p-8, 5, 60, 20104},
      {0x1.e9a7329049598p-13, 2, 116, 17552}},
     {"torso", Variant::kPilu0, 4,
      {0x1.3cf47ecccc926p-10, 33, 570, 16272},

@@ -386,5 +386,52 @@ TEST(Factors, ValidateCatchesBadL) {
   EXPECT_THROW(f.validate(), Error);
 }
 
+// ---- Pivot-guard regressions: safeguarded pivot substitution -----------
+
+/// Leading 2x2 block [[0, 1], [1, 0]] is structurally singular for an
+/// unpivoted factorization: eliminating row 1 against row 0 requires
+/// dividing by the exactly-zero leading pivot.
+Csr singular_leading_block() {
+  CooBuilder b(4, 4);
+  b.add(0, 1, 1.0);
+  b.add(1, 0, 1.0);
+  b.add(0, 0, 0.0);
+  b.add(1, 1, 0.0);
+  b.add(2, 2, 3.0);
+  b.add(2, 0, 1.0);
+  b.add(3, 3, 4.0);
+  b.add(3, 1, 1.0);
+  return b.to_csr();
+}
+
+TEST(PivotGuard, SingularLeadingBlockThrowsWithoutGuard) {
+  EXPECT_THROW(ilut(singular_leading_block(), {.m = 4, .tau = 0.0, .pivot_rel = 0.0}),
+               Error);
+}
+
+TEST(PivotGuard, SingularLeadingBlockRecoversWithGuardAndIsCounted) {
+  IlutStats stats;
+  const IluFactors f =
+      ilut(singular_leading_block(), {.m = 4, .tau = 0.0, .pivot_rel = 1e-8}, &stats);
+  f.validate();
+  EXPECT_GE(stats.pivots_guarded, 1u);
+}
+
+TEST(PivotGuard, SubnormalPivotThrowsWithoutGuard) {
+  // A pivot that is nonzero but subnormal used to pass the old diag != 0
+  // check and then overflow the reciprocal; it must now throw.
+  CooBuilder b(2, 2);
+  b.add(0, 0, 1e-320);
+  b.add(0, 1, 1.0);
+  b.add(1, 0, 1.0);
+  b.add(1, 1, 1.0);
+  const Csr a = b.to_csr();
+  EXPECT_THROW(ilut(a, {.m = 2, .tau = 0.0, .pivot_rel = 0.0}), Error);
+  IlutStats stats;
+  const IluFactors f = ilut(a, {.m = 2, .tau = 0.0, .pivot_rel = 1e-10}, &stats);
+  f.validate();
+  EXPECT_EQ(stats.pivots_guarded, 1u);
+}
+
 }  // namespace
 }  // namespace ptilu

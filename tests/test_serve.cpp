@@ -1,14 +1,13 @@
 // Differential serving-stack tests: the batched multi-RHS solves against
-// their single-RHS references (bit-identical for the scalar CSR and
-// distributed paths, tolerance-based for the blocked path), the
-// operator fingerprint (equal operators agree, every one-word edit moves
-// it, one pinned value), the FactorCache (key discrimination, LRU order,
-// metrics reconciliation, epoch banking across Machine::reset), the
-// seeded traffic generator, the FIFO batching policy, and the
-// shared-factor concurrency contract the tsan preset exists to check.
+// their single-RHS references (bit-identical for the serial CSR and
+// distributed paths), the operator fingerprint (equal operators agree,
+// every one-word edit moves it, one pinned value), the FactorCache (key
+// discrimination, LRU order, metrics reconciliation, epoch banking across
+// Machine::reset), the seeded traffic generator, the FIFO batching policy,
+// and the shared-factor concurrency contract the tsan preset exists to
+// check.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -17,7 +16,6 @@
 #include "ptilu/dist/distcsr.hpp"
 #include "ptilu/graph/graph.hpp"
 #include "ptilu/ilu/ilut.hpp"
-#include "ptilu/ilu/ilut_blocked.hpp"
 #include "ptilu/ilu/rhs_block.hpp"
 #include "ptilu/ilu/trisolve.hpp"
 #include "ptilu/krylov/gmres.hpp"
@@ -93,37 +91,6 @@ TEST(BatchedTrisolve, ScalarIluApplyBitIdenticalToSingle) {
       ilu_apply(factors, b.col(c), x1);
       for (idx i = 0; i < n; ++i) {
         ASSERT_EQ(x.at(i, c), x1[static_cast<std::size_t>(i)]) << "k=" << k << " col=" << c;
-      }
-    }
-  }
-}
-
-// ---- Batched blocked trisolves: match single blocked within tolerance --
-
-TEST(BatchedTrisolve, BlockedMatchesSingleBlocked) {
-  const Csr a = workloads::convection_diffusion_2d(20, 20, 6.0, 3.0);
-  const idx n = a.n_rows;
-  const BlockedIlutOptions opts{.base = {.m = 8, .tau = 1e-3},
-                                .panels = {.max_panel = 4, .slack = 1.5}};
-  const BlockedFactors factors = ilut_blocked(a, opts);
-  for (const int k : kBatchWidths) {
-    const DenseRhsBlock b = seeded_block(n, k, 31);
-    DenseRhsBlock y(n, k), x(n, k), applied(n, k);
-    forward_solve(factors, b, y);
-    backward_solve(factors, y, x);
-    ilu_apply(factors, b, applied);
-    RealVec y1(static_cast<std::size_t>(n)), x1(static_cast<std::size_t>(n));
-    for (int c = 0; c < k; ++c) {
-      forward_solve(factors, b.col(c), y1);
-      backward_solve(factors, y1, x1);
-      for (idx i = 0; i < n; ++i) {
-        const double scale = 1.0 + std::abs(x1[static_cast<std::size_t>(i)]);
-        ASSERT_NEAR(y.at(i, c), y1[static_cast<std::size_t>(i)], 1e-12 * scale)
-            << "k=" << k << " col=" << c;
-        ASSERT_NEAR(x.at(i, c), x1[static_cast<std::size_t>(i)], 1e-12 * scale)
-            << "k=" << k << " col=" << c;
-        ASSERT_NEAR(applied.at(i, c), x1[static_cast<std::size_t>(i)], 1e-12 * scale)
-            << "k=" << k << " col=" << c;
       }
     }
   }
@@ -243,7 +210,7 @@ Csr small_matrix(double convection = 5.0) {
   return workloads::convection_diffusion_2d(10, 10, convection, 2.0);
 }
 
-TEST(FactorCache, KeyDiscriminatesParamsValuesAndVariant) {
+TEST(FactorCache, KeyDiscriminatesParamsAndValues) {
   const Csr a = small_matrix();
   Csr perturbed = a;
   perturbed.values[perturbed.values.size() / 2] *= 1.0 + 1e-9;
@@ -266,14 +233,7 @@ TEST(FactorCache, KeyDiscriminatesParamsValuesAndVariant) {
   // Same pattern, one value nudged: a different operator.
   cache.get(perturbed, opts);
   EXPECT_EQ(cache.stats().misses, 5u);
-
-  // Same (matrix, m, tau) under the blocked variant: distinct again.
-  cache.get_blocked(a, {.base = opts, .panels = {.max_panel = 4, .slack = 1.5}});
-  EXPECT_EQ(cache.stats().misses, 6u);
-  // ... and blocked entries key on the panel knobs too.
-  cache.get_blocked(a, {.base = opts, .panels = {.max_panel = 8, .slack = 1.5}});
-  EXPECT_EQ(cache.stats().misses, 7u);
-  EXPECT_EQ(cache.size(), 7u);
+  EXPECT_EQ(cache.size(), 5u);
 }
 
 // ---- matrix_fingerprint: equal operators agree, one-word edits move it --
@@ -346,10 +306,9 @@ TEST(MatrixFingerprint, PinnedValue) {
   EXPECT_EQ(serve::matrix_fingerprint(tiny_matrix()), 0xc3fe5082c5a05d56ULL);
 }
 
-serve::FactorKey scalar_key(const Csr& a, const IlutOptions& opts) {
+serve::FactorKey cache_key(const Csr& a, const IlutOptions& opts) {
   serve::FactorKey key;
   key.matrix = serve::matrix_fingerprint(a);
-  key.variant = serve::FactorVariant::kScalar;
   key.m = opts.m;
   key.tau = opts.tau;
   key.pivot_rel = opts.pivot_rel;
@@ -368,14 +327,14 @@ TEST(FactorCache, LruEvictionEvictsLeastRecentlyUsed) {
   cache.get(a, opts);  // refresh a: b is now the LRU entry
   cache.get(c, opts);  // evicts b
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_TRUE(cache.contains(scalar_key(a, opts)));
-  EXPECT_FALSE(cache.contains(scalar_key(b, opts)));
-  EXPECT_TRUE(cache.contains(scalar_key(c, opts)));
+  EXPECT_TRUE(cache.contains(cache_key(a, opts)));
+  EXPECT_FALSE(cache.contains(cache_key(b, opts)));
+  EXPECT_TRUE(cache.contains(cache_key(c, opts)));
 
   // b must now re-factor (a fresh miss), evicting a (LRU after the c miss).
   cache.get(b, opts);
   EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_FALSE(cache.contains(scalar_key(a, opts)));
+  EXPECT_FALSE(cache.contains(cache_key(a, opts)));
   // An evicted-then-refetched entry still hands out a usable factor.
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.size(), 2u);

@@ -381,5 +381,59 @@ TEST(MatrixMarket, HugeEntryCountWithShortBodyIsTruncated) {
   EXPECT_NE(what.find("truncated entry 2"), std::string::npos) << what;
 }
 
+/// The reader's message for a one-entry 2x2 real general file whose entry
+/// line is `entry`.
+std::string one_entry_error(const std::string& entry) {
+  return matrix_market_error("%%MatrixMarket matrix coordinate real general\n2 2 1\n" +
+                             entry + "\n");
+}
+
+TEST(MatrixMarket, RejectsNonFiniteValuesByEntry) {
+  for (const std::string token : {"nan", "inf", "-inf", "NaN", "infinity"}) {
+    const std::string what = one_entry_error("1 2 " + token);
+    EXPECT_NE(what.find("non-finite value '" + token + "' in entry 0 (1,2)"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(MatrixMarket, RejectsOutOfRangeValuesByEntry) {
+  for (const std::string token : {"1e999", "-1e999", "1e-400"}) {
+    const std::string what = one_entry_error("2 1 " + token);
+    EXPECT_NE(what.find("value '" + token + "' of entry 0 (2,1) is out of the range"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(MatrixMarket, RejectsUnparseableValuesByEntry) {
+  for (const std::string token : {"0x1p3", "1.5abc", "--1", "+-1", "abc"}) {
+    const std::string what = one_entry_error("1 1 " + token);
+    EXPECT_NE(what.find("unparseable value '" + token + "' in entry 0 (1,1)"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(MatrixMarket, AcceptsSignedAndSubnormalValues) {
+  std::stringstream ss("%%MatrixMarket matrix coordinate real general\n2 2 3\n"
+                       "1 1 +1.5\n2 2 -.5e1\n1 2 4.9406564584124654e-324\n");
+  const Csr a = read_matrix_market(ss);
+  EXPECT_EQ(a.at(0, 0), 1.5);
+  EXPECT_EQ(a.at(1, 1), -5.0);
+  EXPECT_GT(a.at(0, 1), 0.0);
+}
+
+TEST(MatrixMarket, RejectsDuplicatesThatAssembleToInfinity) {
+  const std::string what = matrix_market_error(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 2 3\n"
+      "1 1 1e308\n"
+      "2 2 1.0\n"
+      "1 1 1e308\n");
+  EXPECT_NE(what.find("entry (1,1) assembles to the non-finite value"), std::string::npos)
+      << what;
+}
+
 }  // namespace
 }  // namespace ptilu
