@@ -168,10 +168,12 @@ ScalePoint run_skeleton(sim::Machine& machine, const Problem& prob, int gmres_it
       ctx.charge_mem(msg.payload.size());
     }
   };
+  // The skeleton models message sizes only: payloads are posted in place
+  // and never written or read, so the run times the transport itself.
   const auto send_halo = [&](sim::RankContext& ctx, std::uint64_t bytes_per_peer, int tag) {
     const int r = ctx.rank();
-    if (r > 0) ctx.send_bytes(r - 1, tag, std::vector<std::byte>(bytes_per_peer));
-    if (r + 1 < p) ctx.send_bytes(r + 1, tag, std::vector<std::byte>(bytes_per_peer));
+    if (r > 0) ctx.send_in_place(r - 1, tag, bytes_per_peer);
+    if (r + 1 < p) ctx.send_in_place(r + 1, tag, bytes_per_peer);
   };
 
   // --- Factorization: interior rows eliminate locally in one modeled
@@ -225,7 +227,7 @@ ScalePoint run_skeleton(sim::Machine& machine, const Problem& prob, int gmres_it
             const int r = ctx.rank();
             const int to = dir == 0 ? r + 1 : r - 1;
             if (to >= 0 && to < p) {
-              ctx.send_bytes(to, /*tag=*/3, std::vector<std::byte>(static_cast<std::size_t>(halo) * 8u));
+              ctx.send_in_place(to, /*tag=*/3, static_cast<std::size_t>(halo) * 8u);
             }
             const SlabStats& s = prob.slabs[r];
             ctx.charge_flops(static_cast<std::uint64_t>(s.nnz / sweep_levels) + 1u);

@@ -172,7 +172,6 @@ struct DistMisScratch {
   // Pooled per-call working buffers (capacity persists across calls).
   std::vector<std::vector<IdxVec>> in_batch;   // [rank][slot] queued kIn notices
   std::vector<std::vector<IdxVec>> out_batch;  // [rank][slot] queued kOut notices
-  std::vector<IdxVec> recv_buf;                // [lane] message decode scratch
   std::vector<IdxVec> selected;                // [lane] per-round winners
   std::vector<long long> cand_lane;            // [lane] candidates-left partial sums
 

@@ -1,6 +1,7 @@
 // Container for incomplete LU factors and shared dropping-rule kernels.
 #pragma once
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -55,6 +56,11 @@ struct SparseRow {
 /// convenience form uses a local buffer.
 void select_largest(SparseRow& row, idx keep_count, real tau, idx always_keep,
                     std::vector<std::pair<idx, real>>& kept);
+/// The same selection on a row held elsewhere: the survivors overwrite the
+/// front of `cols`/`vals`, and their count is returned.
+std::size_t select_largest(std::span<idx> cols, std::span<real> vals, idx keep_count,
+                           real tau, idx always_keep,
+                           std::vector<std::pair<idx, real>>& kept);
 void select_largest(SparseRow& row, idx keep_count, real tau, idx always_keep = -1);
 
 /// Concatenate per-row cols/vals into a CSR matrix in one pass over the

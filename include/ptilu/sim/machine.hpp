@@ -34,15 +34,21 @@
 // merge points.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <exception>
 #include <memory>
+#include <new>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ptilu/support/check.hpp"
+#include "ptilu/support/function_ref.hpp"
 #include "ptilu/support/types.hpp"
 
 namespace ptilu::sim {
@@ -144,11 +150,31 @@ struct MachineParams {
   }
 };
 
-/// One message in flight: raw bytes plus a tag for sanity checking.
+/// Every payload starts at a multiple of this many bytes, so it can be
+/// written and read in place as an array of any type up to this alignment.
+inline constexpr std::size_t kPayloadAlign = 8;
+
+/// One delivered message: its sender, its tag, and a read-only view of its
+/// payload in the sender's arena. The view stays valid for the whole
+/// superstep in which the message is delivered, also while the receiver
+/// posts messages of its own; it is gone after that superstep's barrier,
+/// so copy out whatever is needed later.
 struct Message {
   int from = 0;
   int tag = 0;
-  std::vector<std::byte> payload;
+  std::span<const std::byte> payload;
+
+  /// The payload read in place as the array of T it was sent as
+  /// (RankContext::send_in_place<T>, send_indices, send_reals).
+  template <typename T>
+  std::span<const T> as() const {
+    static_assert(std::is_trivially_copyable_v<T> && alignof(T) <= kPayloadAlign);
+    PTILU_CHECK(payload.size() % sizeof(T) == 0,
+                "payload size " << payload.size() << " not a multiple of element size");
+    if (payload.empty()) return {};
+    return {std::launder(reinterpret_cast<const T*>(payload.data())),
+            payload.size() / sizeof(T)};
+  }
 };
 
 /// Aggregate per-rank activity counters (monotone over a run).
@@ -182,19 +208,30 @@ class RankContext {
   /// Account n bytes of local memory traffic (e.g. reduced-matrix copies).
   void charge_mem(std::uint64_t n);
 
-  /// Post a message for delivery at the start of the next superstep.
-  void send_bytes(int to, int tag, std::vector<std::byte> payload);
+  /// Post a message of `count` elements of T for delivery at the start of
+  /// the next superstep, and return its payload, in this rank's arena, for
+  /// the caller to fill. The payload is sent as it stands at the end of the
+  /// superstep; the span stays valid until then, also across further sends.
+  /// Charges exactly what a send of count * sizeof(T) bytes charges.
+  template <typename T = std::byte>
+  std::span<T> send_in_place(int to, int tag, std::size_t count) {
+    static_assert(std::is_trivially_copyable_v<T> && alignof(T) <= kPayloadAlign);
+    // Placement array new begins the array's lifetime in the arena bytes;
+    // for a trivial T it emits no code.
+    return {::new (static_cast<void*>(post(to, tag, count * sizeof(T)))) T[count], count};
+  }
+  /// Copying sends: post a copy of `data`.
   void send_indices(int to, int tag, const IdxVec& data);
   void send_reals(int to, int tag, const RealVec& data);
 
-  /// All messages delivered to this rank this superstep. The inbox is moved
-  /// out and replaced by a fresh empty vector, so a second call in the same
-  /// superstep sees a well-defined empty inbox rather than a moved-from one.
-  /// Under conformance checking a second drain is reported as a protocol
+  /// All messages delivered to this rank this superstep, grouped by sender
+  /// rank, each sender's in program order. The views stay valid until the
+  /// superstep's barrier. A second call in the same superstep returns an
+  /// empty span; under conformance checking it is reported as a protocol
   /// violation — PR 2's recv_all double-drain bug lost messages exactly
-  /// this way, and code that compiles against the well-defined-empty
-  /// fallback is almost always wrong.
-  std::vector<Message> recv_all();
+  /// this way, and code that relies on the empty fallback is almost
+  /// always wrong.
+  std::span<const Message> recv_all();
 
   /// Declare participation in a logical collective from SPMD step code.
   /// Purely an annotation for the conformance checker (no modeled cost, a
@@ -208,19 +245,15 @@ class RankContext {
  private:
   friend class Machine;
   RankContext(Machine& machine, int rank) : machine_(&machine), rank_(rank) {}
+  std::byte* post(int to, int tag, std::size_t bytes);
   Machine* machine_;
   int rank_;
 };
 
-/// Decode helpers for Message payloads.
+/// Copy a payload out of the arena into a vector of its own. Hot receive
+/// loops read payloads in place with Message::as instead.
 IdxVec decode_indices(const Message& m);
 RealVec decode_reals(const Message& m);
-
-/// Append-decoding variants: decode the payload directly onto the end of
-/// `out` with no intermediate vector. Hot receive loops reuse one buffer
-/// across messages instead of allocating a fresh vector per decode.
-void decode_indices_append(const Message& m, IdxVec& out);
-void decode_reals_append(const Message& m, RealVec& out);
 
 class Machine {
  public:
@@ -268,18 +301,18 @@ class Machine {
   /// backends are observationally identical. `site` tags the superstep for
   /// conformance transcripts and violation reports; it costs nothing when
   /// checking is off and should name the protocol action
-  /// ("pilut/exchange/request").
-  void step(const std::function<void(RankContext&)>& body,
-            std::string_view site = {});
+  /// ("pilut/exchange/request"). The body is referenced, not copied, so a
+  /// warm superstep allocates nothing.
+  void step(FunctionRef<void(RankContext&)> body, std::string_view site = {});
 
   /// Convenience collectives (each is one superstep of modeled time):
   /// every rank contributes a value, all receive the combined result.
   /// Under conformance checking each is fingerprinted per rank.
-  double allreduce_sum(const std::function<double(int)>& value_of_rank,
+  double allreduce_sum(FunctionRef<double(int)> value_of_rank,
                        std::string_view site = {});
-  double allreduce_max(const std::function<double(int)>& value_of_rank,
+  double allreduce_max(FunctionRef<double(int)> value_of_rank,
                        std::string_view site = {});
-  long long allreduce_sum_ll(const std::function<long long(int)>& value_of_rank,
+  long long allreduce_sum_ll(FunctionRef<long long(int)> value_of_rank,
                              std::string_view site = {});
 
   /// Account a point-to-point transfer without materializing a payload
@@ -352,16 +385,57 @@ class Machine {
   friend class RankContext;
   void charge_flops(int rank, std::uint64_t n);
   void charge_mem(int rank, std::uint64_t n);
-  void post(int from, int to, int tag, std::vector<std::byte> payload);
+  std::byte* post(int from, int to, int tag, std::size_t bytes);
+  void deliver();
 
-  /// One posted message staged in its *sender's* slot. Staging per sender
-  /// keeps post() free of cross-rank writes; the barrier merges the stages
-  /// destination-wise in sender-rank order, which reproduces exactly the
-  /// (sender rank, program order) delivery the sequential interpreter got
-  /// from pushing straight into per-destination outboxes.
+  /// Append-only payload storage of one sender for one superstep. Its
+  /// chunks never move, so a payload stays where it was written until
+  /// clear(). clear() keeps the memory, folding several chunks into one
+  /// that holds what they held, so a warm arena allocates nothing; only an
+  /// arena above a few KiB that a superstep filled to under a quarter gives
+  /// its memory back, so that a burst does not stay resident.
+  class Arena {
+   public:
+    /// Room for `bytes` more bytes, aligned to kPayloadAlign.
+    std::byte* append(std::size_t bytes);
+    void clear();
+    /// Where the next append would start; truncate() drops everything
+    /// appended since.
+    struct Mark {
+      std::size_t chunks = 0;
+      std::size_t used = 0;
+      std::size_t earlier = 0;
+    };
+    Mark mark() const { return {chunks_.size(), used_, earlier_}; }
+    void truncate(const Mark& mark);
+
+   private:
+    struct Chunk {
+      std::unique_ptr<std::byte[]> data;
+      std::size_t cap = 0;
+    };
+    std::vector<Chunk> chunks_;
+    std::size_t used_ = 0;     // bytes taken in chunks_.back()
+    std::size_t earlier_ = 0;  // bytes taken in the chunks before it
+  };
+
+  /// One posted message, staged in its *sender's* slot with its payload
+  /// already in the sender's arena. Staging per sender keeps post() free of
+  /// cross-rank writes; the barrier groups the stages by destination in
+  /// sender-rank order, which reproduces exactly the (sender rank, program
+  /// order) delivery of a per-destination push.
   struct Posted {
     int to = 0;
     Message msg;
+  };
+
+  /// A destination's slice of delivered_, and its inbound payload bytes.
+  /// Only destinations on touched_ hold a non-empty box.
+  struct Box {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+    std::uint64_t bytes = 0;
+    bool drained = false;
   };
 
   /// A trace record charged by a rank body under the threaded backend,
@@ -377,8 +451,8 @@ class Machine {
     SpanKind kind{};
   };
 
-  void run_bodies(const std::function<void(RankContext&)>& body);
-  void run_bodies_threaded(const std::function<void(RankContext&)>& body);
+  void run_bodies(FunctionRef<void(RankContext&)> body);
+  void run_bodies_threaded(FunctionRef<void(RankContext&)> body);
   void flush_pending_trace(int upto_rank);
   int resolved_pool_size() const;
 
@@ -390,18 +464,27 @@ class Machine {
   int threads_option_;
   std::vector<double> clock_;
   std::vector<RankCounters> counters_;
-  /// Messages delivered this superstep, keyed by destination rank. Sparse
-  /// by construction: only ranks with inbound traffic own an entry, so a
-  /// p=4096 machine whose ranks talk to a handful of grid neighbors stores
-  /// O(active destinations) vectors, not O(p). A sorted map (not a hash
-  /// map) so the receiver drain loop in step() visits destinations in
-  /// ascending rank order — the exact order the dense per-rank array was
-  /// walked in, keeping modeled clocks and traces bit-identical. Structure
-  /// is only mutated on the main thread at the barrier; rank bodies move
-  /// out their own mapped vector (recv_all), which never rebalances the
-  /// tree, so the threaded backend needs no locking here.
-  std::map<int, std::vector<Message>> inbox_;
+  /// Message transport. A sender writes payloads into its arena for the
+  /// current superstep and stages a record per message; the two arenas of
+  /// a sender alternate with each delivery, so the payloads delivered at
+  /// one barrier stay readable through the next superstep while the
+  /// senders fill their other arena. Delivery (deliver()) is one stable
+  /// counting pass over the records into delivered_, grouped by
+  /// destination; its work grows with the superstep's traffic, not with
+  /// nranks. Only the main thread mutates these structures between bodies;
+  /// a body appends to its own arena and stage and marks its own box.
+  std::vector<std::array<Arena, 2>> arenas_;  // per sender
   std::vector<std::vector<Posted>> staged_;   // posted this superstep, per sender
+  std::vector<Message> delivered_;            // delivered, grouped by destination
+  std::vector<Box> boxes_;                    // per destination
+  std::vector<int> touched_;                  // destinations with a box, ascending
+  std::uint64_t deliveries_ = 0;              // picks the arena senders write
+  // Threaded-backend rollback snapshots, kept so that a step allocates nothing.
+  std::vector<double> clock_before_;
+  std::vector<RankCounters> counters_before_;
+  std::vector<std::size_t> staged_before_;
+  std::vector<Arena::Mark> arena_before_;
+  std::vector<std::exception_ptr> errors_;
   std::uint64_t supersteps_ = 0;
   Trace* trace_ = nullptr;
   bool in_allreduce_ = false;  // tags the enclosing step's barrier spans

@@ -1,7 +1,6 @@
 #include "ptilu/dist/distcsr.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "ptilu/sim/trace.hpp"
 #include "ptilu/support/check.hpp"
@@ -174,12 +173,11 @@ void dist_spmv(sim::Machine& machine, const DistCsr& dist, const Halo& halo,
   // Superstep 1: ship boundary values.
   machine.step([&](sim::RankContext& ctx) {
     const int r = ctx.rank();
-    RealVec values;
     for (const auto& [peer, indices] : halo.send_lists[r]) {
-      values.resize(indices.size());
+      ctx.charge_mem(indices.size() * sizeof(real));
+      const std::span<real> values =
+          ctx.send_in_place<real>(peer, /*tag=*/0, indices.size());
       for (std::size_t i = 0; i < indices.size(); ++i) values[i] = x[indices[i]];
-      ctx.charge_mem(values.size() * sizeof(real));
-      ctx.send_reals(peer, /*tag=*/0, values);
     }
   }, "spmv/halo_send");
 
@@ -188,7 +186,7 @@ void dist_spmv(sim::Machine& machine, const DistCsr& dist, const Halo& halo,
     const int r = ctx.rank();
     const auto& recv = halo.recv_lists[r];
     real* const my_ghost = ghost.data() + halo.ghost_ptr[r];
-    const std::vector<sim::Message> inbox = ctx.recv_all();
+    const std::span<const sim::Message> inbox = ctx.recv_all();
     PTILU_CHECK(inbox.size() == recv.size(),
                 "rank " << r << " at spmv/compute: " << inbox.size()
                         << " halo messages arrived, the halo expects " << recv.size());
@@ -199,7 +197,8 @@ void dist_spmv(sim::Machine& machine, const DistCsr& dist, const Halo& halo,
       PTILU_CHECK(msg.from == peer && msg.payload.size() == indices.size() * sizeof(real),
                   "rank " << r << " at spmv/compute: message from rank " << msg.from
                           << " does not match the halo's list from rank " << peer);
-      std::memcpy(my_ghost + filled, msg.payload.data(), msg.payload.size());
+      const std::span<const real> values = msg.as<real>();
+      std::copy(values.begin(), values.end(), my_ghost + filled);
       filled += indices.size();
     }
 

@@ -65,7 +65,6 @@ void DistMisScratch::ensure(int nranks, int lanes, idx n_global) {
     in_batch.resize(nranks);
     out_batch.resize(nranks);
   }
-  if (static_cast<int>(recv_buf.size()) < lanes) recv_buf.resize(lanes);
   if (static_cast<int>(selected.size()) < lanes) selected.resize(lanes);
   if (static_cast<int>(cand_lane.size()) < lanes) cand_lane.resize(lanes, 0);
   if (static_cast<int>(key.size()) < lanes) {
@@ -173,7 +172,6 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
       const int r = ctx.rank();
       const auto lane = static_cast<std::size_t>(ctx.lane());
       auto& status = sc.status[r];
-      IdxVec& recv_buf = sc.recv_buf[lane];
       auto& key = sc.key[lane];
       auto& key_stamp = sc.key_stamp[lane];
       const auto key_of = [&](idx v) {
@@ -186,9 +184,7 @@ IdxVec mis_dist(sim::Machine& machine, const DistGraph& graph, const DistMisOpti
       bool fresh = round == 0;  // every status this rank sees is still a candidate
       for (const sim::Message& msg : ctx.recv_all()) {
         const auto value = static_cast<std::uint8_t>(epoch | (msg.tag == kTagIn ? kIn : kOut));
-        recv_buf.clear();
-        sim::decode_indices_append(msg, recv_buf);
-        for (const idx v : recv_buf) status[v] = value;
+        for (const idx v : msg.as<idx>()) status[v] = value;
         fresh = false;
       }
 

@@ -28,21 +28,22 @@ double IluFactors::fill_factor(nnz_t nnz_a) const {
   return static_cast<double>(l.nnz() + u.nnz()) / static_cast<double>(nnz_a);
 }
 
-void select_largest(SparseRow& row, idx keep_count, real tau, idx always_keep,
-                    std::vector<std::pair<idx, real>>& kept) {
+std::size_t select_largest(std::span<idx> cols, std::span<real> vals, idx keep_count,
+                           real tau, idx always_keep,
+                           std::vector<std::pair<idx, real>>& kept) {
   PTILU_CHECK(keep_count >= 0, "negative keep count");
   // Gather survivors of the threshold test (plus the protected column).
   kept.clear();
-  kept.reserve(row.size());
+  kept.reserve(cols.size());
   std::pair<idx, real> protected_entry{-1, 0.0};
   bool have_protected = false;
-  for (std::size_t k = 0; k < row.size(); ++k) {
-    if (row.cols[k] == always_keep) {
-      protected_entry = {row.cols[k], row.vals[k]};
+  for (std::size_t k = 0; k < cols.size(); ++k) {
+    if (cols[k] == always_keep) {
+      protected_entry = {cols[k], vals[k]};
       have_protected = true;
       continue;
     }
-    if (std::abs(row.vals[k]) >= tau) kept.emplace_back(row.cols[k], row.vals[k]);
+    if (std::abs(vals[k]) >= tau) kept.emplace_back(cols[k], vals[k]);
   }
   // Deterministic strict total order: |value| descending, column ascending.
   const auto by_magnitude = [](const std::pair<idx, real>& a, const std::pair<idx, real>& b) {
@@ -58,8 +59,19 @@ void select_largest(SparseRow& row, idx keep_count, real tau, idx always_keep,
   std::sort(kept.begin(), kept.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  row.clear();
-  for (const auto& [c, v] : kept) row.push(c, v);
+  for (std::size_t k = 0; k < kept.size(); ++k) {
+    cols[k] = kept[k].first;
+    vals[k] = kept[k].second;
+  }
+  return kept.size();
+}
+
+void select_largest(SparseRow& row, idx keep_count, real tau, idx always_keep,
+                    std::vector<std::pair<idx, real>>& kept) {
+  const std::size_t size =
+      select_largest(row.cols, row.vals, keep_count, tau, always_keep, kept);
+  row.cols.resize(size);
+  row.vals.resize(size);
 }
 
 void select_largest(SparseRow& row, idx keep_count, real tau, idx always_keep) {

@@ -1,6 +1,7 @@
 #include "detail.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "ptilu/sim/trace.hpp"
 
@@ -51,7 +52,7 @@ std::pair<idx*, real*> RowStore::open(int r, idx i, std::size_t len) {
   return room;
 }
 
-void RowStore::put(int r, idx i, const SparseRow& row) {
+void RowStore::put(int r, idx i, RowView row) {
   if (row.size() == 0) return;
   const auto [c, v] = open(r, i, row.size());
   std::copy(row.cols.begin(), row.cols.end(), c);
@@ -66,65 +67,204 @@ void RowStore::put_diag_first(int r, idx i, real diag, const SparseRow& upper) {
   std::copy(upper.vals.begin(), upper.vals.end(), v + 1);
 }
 
+namespace {
+
+/// Room sizes: 4, then four steps per octave (5, 6, 7, 8, 10, 12, 14, 16,
+/// 20, ...), so a room exceeds what it was sized for by under a quarter.
+std::size_t room_of(std::size_t k) {
+  if (k == 0) return SlackRows::kMinCap;
+  const std::size_t octave = std::size_t{1} << ((k - 1) / 4 + 2);
+  return octave + ((k - 1) % 4 + 1) * (octave / 4);
+}
+
+/// The smallest room size class holding n entries.
+std::size_t class_for(std::size_t n) {
+  if (n <= SlackRows::kMinCap) return 0;
+  const int e = std::bit_width(n - 1) - 1;  // 2^e < n <= 2^(e+1)
+  const std::size_t step = std::size_t{1} << (e - 2);
+  const std::size_t within = (n - (std::size_t{1} << e) + step - 1) / step;  // 1..4
+  return static_cast<std::size_t>(e - 2) * 4 + within;
+}
+
+/// Smallest chunk a rank carves rooms from, in entries.
+constexpr std::size_t kFirstSlackChunk = 64;
+
+}  // namespace
+
+SlackRows::Room SlackRows::piece(const Chunk& chunk, std::size_t at) const {
+  return {chunk.cols.get() + at, values_ ? chunk.vals.get() + at : nullptr};
+}
+
+void SlackRows::give(Pool& pool, const Row& row) {
+  const std::size_t k = class_for(row.cap);
+  if (pool.free.size() <= k) pool.free.resize(k + 1);
+  pool.free[k].push_back({row.cols, row.vals});
+}
+
+SlackRows::Room SlackRows::take(Pool& pool, std::size_t k) {
+  if (k < pool.free.size() && !pool.free[k].empty()) {
+    const Room room = pool.free[k].back();
+    pool.free[k].pop_back();
+    return room;
+  }
+  const std::size_t need = room_of(k);
+  if (pool.end - pool.next < need) {
+    // What is left of the current chunk goes to the free lists, largest
+    // rooms first; the next chunk grows with the rank's storage.
+    for (std::size_t j = class_for(pool.end - pool.next) + 1; j-- > 0;) {
+      while (pool.end - pool.next >= room_of(j)) {
+        const Room room = piece(pool.chunks.back(), pool.next);
+        give(pool, {room.cols, room.vals, 0, static_cast<std::uint32_t>(room_of(j))});
+        pool.next += room_of(j);
+      }
+    }
+    const std::size_t cap = std::max({need, kFirstSlackChunk, pool.carved / 4});
+    Chunk& chunk = pool.chunks.emplace_back();
+    chunk.cols = std::make_unique_for_overwrite<idx[]>(cap);
+    if (values_) chunk.vals = std::make_unique_for_overwrite<real[]>(cap);
+    pool.next = 0;
+    pool.end = cap;
+    pool.carved += cap;
+  }
+  const Room room = piece(pool.chunks.back(), pool.next);
+  pool.next += need;
+  return room;
+}
+
+void SlackRows::move(int r, idx f, std::size_t n) {
+  Pool& pool = pools_[static_cast<std::size_t>(r)];
+  // Growing rows take room for twice their entries.
+  const std::size_t k = class_for(std::max(n, 2 * static_cast<std::size_t>(at(f).size)));
+  const Room room = take(pool, k);
+  Row& row = at(f);
+  std::copy(row.cols, row.cols + row.size, room.cols);
+  if (values_) std::copy(row.vals, row.vals + row.size, room.vals);
+  if (row.cap > 0) give(pool, row);
+  row.cols = room.cols;
+  row.vals = room.vals;
+  row.cap = static_cast<std::uint32_t>(room_of(k));
+}
+
+void SlackRows::assign(int r, idx f, const SparseRow& src) {
+  Row& row = at(f);
+  row.size = 0;
+  reserve(r, f, src.size());
+  std::copy(src.cols.begin(), src.cols.end(), row.cols);
+  std::copy(src.vals.begin(), src.vals.end(), row.vals);
+  row.size = static_cast<std::uint32_t>(src.size());
+}
+
+void SlackRows::release(int r, idx f) {
+  Row& row = at(f);
+  if (row.cap > 0) give(pools_[static_cast<std::size_t>(r)], row);
+  row = Row{};
+}
+
+void SlackRows::compact(int r, std::span<const idx> ids, const IdxVec& index) {
+  Pool& pool = pools_[static_cast<std::size_t>(r)];
+  // Each row keeps room for its entries, rounded up to a size class.
+  std::size_t held = 0;
+  for (const idx id : ids) {
+    const Row& row = at(index[id]);
+    if (row.cap > 0) held += room_of(class_for(row.size));
+  }
+  if (pool.carved <= std::max(kCompactAt * held, 2 * kFirstSlackChunk)) return;
+  Chunk chunk;
+  chunk.cols = std::make_unique_for_overwrite<idx[]>(held);
+  if (values_) chunk.vals = std::make_unique_for_overwrite<real[]>(held);
+  std::size_t next = 0;
+  for (const idx id : ids) {
+    Row& row = at(index[id]);
+    if (row.cap == 0) continue;
+    const Room room = piece(chunk, next);
+    std::copy(row.cols, row.cols + row.size, room.cols);
+    if (values_) std::copy(row.vals, row.vals + row.size, room.vals);
+    row.cols = room.cols;
+    row.vals = room.vals;
+    row.cap = static_cast<std::uint32_t>(room_of(class_for(row.size)));
+    next += row.cap;
+  }
+  pool.chunks.clear();
+  pool.chunks.push_back(std::move(chunk));
+  pool.next = pool.end = pool.carved = held;
+  for (std::vector<Room>& rooms : pool.free) rooms.clear();
+}
+
 void RemoteURows::reply(sim::RankContext& ctx, const RowStore& u) {
   // Called only from the exchange/reply supersteps of pilut and pilu0,
   // inside their "exchange" ScopedPhase.
   // ptilu-lint: allow(spmd-phase-coverage)
   for (const sim::Message& msg : ctx.recv_all()) {
     PTILU_CHECK(msg.tag == kTagUReq, "unexpected message during U exchange");
-    requested_.clear();
-    sim::decode_indices_append(msg, requested_);
-    cols_.clear();
-    vals_.clear();
-    for (const idx row : requested_) {
+    const std::span<const idx> requested = msg.as<idx>();
+    std::size_t entries = 0;
+    for (const idx row : requested) entries += u.row_size(row);
+    // The replies are written in place: per row its id, its length and its
+    // columns, then all the rows' values.
+    const std::size_t words = 2 * requested.size() + entries;
+    // ptilu-lint: allow(spmd-phase-coverage)
+    const std::span<idx> cols = ctx.send_in_place<idx>(msg.from, kTagUCols, words);
+    // ptilu-lint: allow(spmd-phase-coverage)
+    const std::span<real> vals = ctx.send_in_place<real>(msg.from, kTagUVals, entries);
+    idx* c = cols.data();
+    real* v = vals.data();
+    for (const idx row : requested) {
       const RowView urow = u.row(row);
-      cols_.push_back(row);
-      cols_.push_back(static_cast<idx>(urow.size()));
-      cols_.insert(cols_.end(), urow.cols.begin(), urow.cols.end());
-      vals_.insert(vals_.end(), urow.vals.begin(), urow.vals.end());
+      *c++ = row;
+      *c++ = static_cast<idx>(urow.size());
+      c = std::copy(urow.cols.begin(), urow.cols.end(), c);
+      v = std::copy(urow.vals.begin(), urow.vals.end(), v);
     }
-    // ptilu-lint: allow(spmd-phase-coverage)
-    ctx.send_indices(msg.from, kTagUCols, cols_);
-    // ptilu-lint: allow(spmd-phase-coverage)
-    ctx.send_reals(msg.from, kTagUVals, vals_);
   }
 }
 
-void RemoteURows::receive(const std::vector<sim::Message>& messages,
+void RemoteURows::receive(std::span<const sim::Message> messages,
                           const IdxVec& iface_of) {
   for (const idx f : bound_) slot_[static_cast<std::size_t>(f)] = -1;
   bound_.clear();
   views_.clear();
-  cols_.clear();
-  vals_.clear();
+  // Each reply is a column payload followed by its value payload; the rows
+  // are viewed in place in the payloads, which last the superstep.
+  std::span<const idx> cols;
+  int cols_from = -1;
   for (const sim::Message& msg : messages) {
     if (msg.tag == kTagUCols) {
-      sim::decode_indices_append(msg, cols_);
-    } else {
-      PTILU_CHECK(msg.tag == kTagUVals, "unexpected tag in U exchange");
-      sim::decode_reals_append(msg, vals_);
+      PTILU_CHECK(cols_from < 0, "U exchange: column payload without its values");
+      cols = msg.as<idx>();
+      cols_from = msg.from;
+      continue;
     }
+    PTILU_CHECK(msg.tag == kTagUVals && msg.from == cols_from,
+                "unexpected tag in U exchange");
+    const std::span<const real> vals = msg.as<real>();
+    std::size_t vpos = 0;
+    for (std::size_t p = 0; p < cols.size();) {
+      const idx f = iface_of[cols[p++]];
+      const std::size_t len = static_cast<std::size_t>(cols[p++]);
+      slot_[static_cast<std::size_t>(f)] = static_cast<idx>(views_.size());
+      views_.push_back({cols.subspan(p, len), vals.subspan(vpos, len)});
+      bound_.push_back(f);
+      p += len;
+      vpos += len;
+    }
+    PTILU_CHECK(vpos == vals.size(),
+                "U exchange: value payload does not match its columns");
+    cols_from = -1;
   }
-  std::size_t vpos = 0;
-  for (std::size_t p = 0; p < cols_.size();) {
-    const idx f = iface_of[cols_[p++]];
-    const std::size_t len = static_cast<std::size_t>(cols_[p++]);
-    slot_[static_cast<std::size_t>(f)] = static_cast<idx>(views_.size());
-    views_.push_back({{cols_.data() + p, len}, {vals_.data() + vpos, len}});
-    bound_.push_back(f);
-    p += len;
-    vpos += len;
-  }
+  PTILU_CHECK(cols_from < 0, "U exchange: column payload without its values");
 }
 
 FactorState::FactorState(const DistCsr& dist)
-    : l(dist.n(), dist.nranks), u(dist.n(), dist.nranks), iface_of(dist.n(), -1) {
+    : l(dist.n(), dist.nranks),
+      u(dist.n(), dist.nranks),
+      iface_of(dist.n(), -1),
+      interfaces(static_cast<idx>(dist.interface_count_total())),
+      tails(static_cast<std::size_t>(interfaces), dist.nranks, /*values=*/true),
+      lparts(static_cast<std::size_t>(interfaces), dist.nranks, /*values=*/true) {
   idx count = 0;
   for (idx v = 0; v < dist.n(); ++v) {
     if (dist.interface[v]) iface_of[v] = count++;
   }
-  tails.resize(static_cast<std::size_t>(count));
-  lparts.resize(static_cast<std::size_t>(count));
 }
 
 namespace {
@@ -292,12 +432,12 @@ void run_initial_reduction(sim::Machine& machine, const DistCsr& dist,
         select_largest(tstage, tail_cap, 0.0, /*always_keep=*/i, scratch.kept);
         tally.dropped += t_before - tstage.size();
       }
-      state.lparts[state.iface_of[i]] = lstage;
-      SparseRow& tail = state.tails[state.iface_of[i]];
-      tail = tstage;
+      const idx f = state.iface_of[i];
+      state.lparts.assign(r, f, lstage);
+      state.tails.assign(r, f, tstage);
       lane.max_reduced_row =
-          std::max(lane.max_reduced_row, static_cast<nnz_t>(tail.size()));
-      copied += tail.size() * (sizeof(idx) + sizeof(real));
+          std::max(lane.max_reduced_row, static_cast<nnz_t>(tstage.size()));
+      copied += tstage.size() * (sizeof(idx) + sizeof(real));
       w.clear();
     }
     ctx.charge_flops(flops);

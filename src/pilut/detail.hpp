@@ -1,6 +1,7 @@
 // Helpers shared by the parallel factorizations (PILUT, PILUT-nested, PILU0).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -57,6 +58,11 @@ struct RowView {
   std::span<const idx> cols;
   std::span<const real> vals;
 
+  RowView() = default;
+  RowView(std::span<const idx> c, std::span<const real> v) : cols(c), vals(v) {}
+  RowView(const SparseRow& row)  // NOLINT(google-explicit-constructor)
+      : cols(row.cols), vals(row.vals) {}
+
   std::size_t size() const { return cols.size(); }
 };
 
@@ -76,7 +82,7 @@ class RowStore {
       : where_(static_cast<std::size_t>(n)), chunks_(static_cast<std::size_t>(nranks)) {}
 
   /// Store row i, finished by rank r.
-  void put(int r, idx i, const SparseRow& row);
+  void put(int r, idx i, RowView row);
   /// Store U row i, finished by rank r: its diagonal first, then `upper`.
   void put_diag_first(int r, idx i, real diag, const SparseRow& upper);
 
@@ -115,6 +121,113 @@ class RowStore {
   std::vector<std::vector<Chunk>> chunks_;  // by rank
 };
 
+/// Rows that change while the level loop runs — reduced rows, their L
+/// parts, in-edge lists — kept in per-rank chunks like RowStore's instead
+/// of one heap vector each. A row has room for a few more entries than it
+/// holds (rooms come in size classes four to an octave); when it outgrows
+/// its room it moves to room for twice its entries, and the room it
+/// leaves, like that of a released row, goes on its rank's free list for
+/// that size. A rank carves new room from its own chunks and keeps its own
+/// free lists, so a rank body that writes only its own rows (and passes
+/// its rank) needs no lock, and a row may be written by a different rank
+/// later on (a migrated row of the nested variant). Rows are reached by
+/// pointer, so reading one never touches a rank's chunks. Free rooms are
+/// not merged, so a rank whose rows keep growing compacts its storage now
+/// and then (compact()). Without values, only columns are stored.
+class SlackRows {
+ public:
+  static constexpr std::uint32_t kMinCap = 4;
+  /// compact() acts once a rank's storage exceeds this multiple of its rows' rooms.
+  static constexpr std::size_t kCompactAt = 2;
+
+  SlackRows(std::size_t rows, int nranks, bool values)
+      : rows_(rows), pools_(static_cast<std::size_t>(nranks)), values_(values) {}
+
+  std::size_t size(idx f) const { return at(f).size; }
+  std::span<idx> cols(idx f) { return {at(f).cols, at(f).size}; }
+  std::span<const idx> cols(idx f) const { return {at(f).cols, at(f).size}; }
+  std::span<real> vals(idx f) { return {at(f).vals, at(f).size}; }
+  RowView view(idx f) const { return {cols(f), {at(f).vals, at(f).size}}; }
+
+  /// Room for at least n entries in row f, taken from rank r's storage if
+  /// the row has to move.
+  void reserve(int r, idx f, std::size_t n) {
+    if (n > at(f).cap) move(r, f, n);
+  }
+  void push(int r, idx f, idx c, real v) {
+    Row& row = grown(r, f);
+    row.cols[row.size] = c;
+    row.vals[row.size++] = v;
+  }
+  void push(int r, idx f, idx c) {
+    Row& row = grown(r, f);
+    row.cols[row.size++] = c;
+  }
+  /// Insert column c at position pos (rows without values).
+  void insert(int r, idx f, std::size_t pos, idx c) {
+    Row& row = grown(r, f);
+    std::copy_backward(row.cols + pos, row.cols + row.size, row.cols + row.size + 1);
+    row.cols[pos] = c;
+    ++row.size;
+  }
+  /// Remove the entry at position pos (rows without values).
+  void erase(idx f, std::size_t pos) {
+    Row& row = at(f);
+    std::copy(row.cols + pos + 1, row.cols + row.size, row.cols + pos);
+    --row.size;
+  }
+  /// Keep the first n entries.
+  void truncate(idx f, std::size_t n) { at(f).size = static_cast<std::uint32_t>(n); }
+  void assign(int r, idx f, const SparseRow& src);
+  /// Free row f's room into rank r's free lists.
+  void release(int r, idx f);
+  /// Once rank r's storage exceeds kCompactAt times its rows' rooms, move
+  /// the rows into one chunk and drop the free rooms. `ids` must name,
+  /// through `index`, every row whose room rank r handed out (a released
+  /// row may be named too); a rank whose rows migrate must not compact.
+  void compact(int r, std::span<const idx> ids, const IdxVec& index);
+
+ private:
+  struct Row {
+    idx* cols = nullptr;
+    real* vals = nullptr;
+    std::uint32_t size = 0;
+    std::uint32_t cap = 0;
+  };
+  struct Room {
+    idx* cols = nullptr;
+    real* vals = nullptr;
+  };
+  struct Chunk {
+    std::unique_ptr<idx[]> cols;
+    std::unique_ptr<real[]> vals;
+  };
+  struct Pool {
+    std::vector<Chunk> chunks;
+    std::size_t next = 0;    // first entry of chunks.back() not yet carved
+    std::size_t end = 0;     // entries in chunks.back()
+    std::size_t carved = 0;  // entries in all chunks
+    std::vector<std::vector<Room>> free;  // by size class
+  };
+
+  Row& at(idx f) { return rows_[static_cast<std::size_t>(f)]; }
+  const Row& at(idx f) const { return rows_[static_cast<std::size_t>(f)]; }
+  Row& grown(int r, idx f) {
+    Row& row = at(f);
+    if (row.size == row.cap) move(r, f, static_cast<std::size_t>(row.size) + 1);
+    return row;
+  }
+  /// Move row f to room for at least n entries from rank r's storage.
+  void move(int r, idx f, std::size_t n);
+  Room take(Pool& pool, std::size_t k);
+  void give(Pool& pool, const Row& row);
+  Room piece(const Chunk& chunk, std::size_t at) const;
+
+  std::vector<Row> rows_;
+  std::vector<Pool> pools_;  // by rank
+  bool values_;
+};
+
 /// Shared state of a parallel factorization. Finished rows live in the
 /// row stores, indexed by ORIGINAL row id. An interface row's reduced row
 /// (its tail) and the L part it gathers level by level change until the row
@@ -126,11 +239,12 @@ struct FactorState {
   RowStore l;                     // final L rows (factored columns, orig ids)
   RowStore u;                     // final U rows (diag first, orig ids)
   IdxVec iface_of;                // row -> interface number, -1 for interior rows
-  std::vector<SparseRow> tails;   // by interface number: unfactored reduced rows
-  std::vector<SparseRow> lparts;  // by interface number: their L parts so far
+  idx interfaces = 0;             // interface rows
+  SlackRows tails;                // by interface number: unfactored reduced rows
+  SlackRows lparts;               // by interface number: their L parts so far
 
   explicit FactorState(const DistCsr& dist);
-  idx interface_count() const { return static_cast<idx>(tails.size()); }
+  idx interface_count() const { return interfaces; }
 };
 
 /// A column -> position-in-row map over interface numbers, emptied per row
@@ -167,17 +281,18 @@ constexpr int kTagUCols = 11;
 constexpr int kTagUVals = 12;
 
 /// One lane's side of the U-row exchange. reply() answers every request
-/// received with the rows from the store: per request message one column
-/// payload (row, length, columns of each row) and one value payload.
-/// receive() decodes this superstep's replies, and row() then reads a
-/// received row in place, found by interface number. Each receive() drops
-/// the rows of the previous one.
+/// received with the rows from the store, written in place: per request
+/// message one column payload (row, length, columns of each row) and one
+/// value payload. receive() indexes this superstep's replies, and row()
+/// then reads a received row in place in its payload, found by interface
+/// number, until the superstep ends. Each receive() drops the rows of the
+/// previous one.
 class RemoteURows {
  public:
   explicit RemoteURows(idx n_iface) : slot_(static_cast<std::size_t>(n_iface), -1) {}
 
   void reply(sim::RankContext& ctx, const RowStore& u);
-  void receive(const std::vector<sim::Message>& messages, const IdxVec& iface_of);
+  void receive(std::span<const sim::Message> messages, const IdxVec& iface_of);
   /// Received U row k, whose interface number is f.
   RowView row(idx k, idx f) const {
     const idx slot = slot_[static_cast<std::size_t>(f)];
@@ -186,9 +301,6 @@ class RemoteURows {
   }
 
  private:
-  IdxVec requested_;        // reply: decoded request
-  IdxVec cols_;             // decoded (or outgoing) column payloads
-  RealVec vals_;            // decoded (or outgoing) value payloads
   IdxVec slot_;             // interface number -> index into views_, or -1
   std::vector<RowView> views_;
   IdxVec bound_;            // interface numbers whose slot_ is set

@@ -24,7 +24,6 @@ using pilut_detail::RowView;
 /// exactly the seed behavior; threaded backend: one lane per rank, so
 /// concurrent bodies never share mutable scratch.
 struct LevelLane {
-  std::vector<IdxVec> reverse_out;  // setup: peer -> (target, source) pairs
   std::vector<IdxVec> requests;     // exchange: peer -> requested U rows
   IdxVec elim_ptr;                  // reduce: active position -> slice of elim_all
   IdxVec elim_all;                  // reduce: every row's I_l columns
@@ -35,7 +34,7 @@ struct LevelLane {
   IdxVec uncapped;     // reduce: a capped row's columns before the cap
 
   LevelLane(int nranks, idx n_iface)
-      : reverse_out(nranks), requests(nranks), remote(n_iface), at(n_iface) {}
+      : requests(nranks), remote(n_iface), at(n_iface) {}
 };
 
 }  // namespace
@@ -125,17 +124,9 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
     sim::ScopedPhase span(machine, "setup");
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
-      std::vector<IdxVec>& reverse_out =
-          level_lanes[static_cast<std::size_t>(ctx.lane())].reverse_out;
       reduced.begin_level(r, active[r], state.tails);
-      reduced.queue_reverse_pairs(r, ctx.lane(), active[r], reverse_out);
       ctx.charge_mem(reduced.out_edges(r) * sizeof(idx));
-      for (int peer = 0; peer < nranks; ++peer) {
-        if (!reverse_out[peer].empty()) {
-          ctx.send_indices(peer, 0, reverse_out[peer]);
-          reverse_out[peer].clear();
-        }
-      }
+      reduced.send_reverse_pairs(ctx, active[r]);
     }, "pilut/setup/reverse_edges");
     machine.step([&](sim::RankContext& ctx) {
       const int r = ctx.rank();
@@ -195,7 +186,7 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
         if (!in_set[v]) continue;
         const real tau_v = opts.tau * norms[v];
         const idx f = iface_of[v];
-        SparseRow& tail = state.tails[f];
+        const RowView tail = state.tails.view(f);
         SparseRow& ustage = scratch.ustage;
         ustage.clear();
         real diag = 0.0;
@@ -214,10 +205,11 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
                                opts.pivot_rel > 0.0 ? opts.pivot_rel * norms[v] : 0.0,
                                tally.guarded);
         state.u.put_diag_first(r, v, diag, ustage);
-        state.l.put(r, v, state.lparts[f]);
-        reduced.retire_row(r, v, tail);
-        tail = SparseRow{};  // the row is finished: free its working storage
-        state.lparts[f] = SparseRow{};
+        state.l.put(r, v, state.lparts.view(f));
+        reduced.retire_row(r, v, tail.cols);
+        // The row is finished: its working storage goes back to the rank.
+        state.tails.release(r, f);
+        state.lparts.release(r, f);
       }
       ctx.charge_flops(flops);
       lane.pivots_guarded += tally.guarded;
@@ -261,6 +253,7 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
       LevelLane& ll = level_lanes[static_cast<std::size_t>(ctx.lane())];
       FactorScratch& scratch = lane.scratch;
       pilut_detail::PositionMap& at = ll.at;
+      pilut_detail::SlackRows& tails = state.tails;
       IdxVec& elim_cols = ll.elim_cols;
       ll.remote.receive(ctx.recv_all(), iface_of);
       const auto urow_of = [&](idx k) -> RowView {
@@ -281,18 +274,18 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
           continue;
         }
         const idx fi = iface_of[i];
-        SparseRow& tail = state.tails[fi];
         elim_cols.assign(ll.elim_all.begin() + ll.elim_ptr[pos],
                          ll.elim_all.begin() + ll.elim_ptr[pos + 1]);
         const real tau_i = opts.tau * norms[i];
         // The tail is updated in place: multipliers and updates land on its
         // entries, fill is appended, so its order is the old tail's order
-        // followed by the fill in insertion order.
+        // followed by the fill in insertion order. An append may move the
+        // row, so its entries are looked up afresh after one.
         at.clear();
-        for (std::size_t p = 0; p < tail.size(); ++p) {
-          at.set(iface_of[tail.cols[p]], static_cast<idx>(p));
+        const std::size_t old_size = tails.size(fi);
+        for (std::size_t p = 0; p < old_size; ++p) {
+          at.set(iface_of[tails.cols(fi)[p]], static_cast<idx>(p));
         }
-        const std::size_t old_size = tail.size();
         const bool old_diag = at.find(fi) >= 0;
         // Ascending new number keeps the arithmetic order identical to the
         // serial elimination on the permuted matrix.
@@ -303,14 +296,15 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
           const RowView urow = urow_of(k);
           const idx pk = at.find(iface_of[k]);
           ll.elim_pos.push_back(pk);
-          const real multiplier = tail.vals[pk] / urow.vals[0];  // diag stored first
+          real& entry = tails.vals(fi)[pk];
+          const real multiplier = entry / urow.vals[0];  // diag stored first
           ++flops;
           if (std::abs(multiplier) < tau_i) {  // 1st dropping rule
-            tail.vals[pk] = 0.0;
+            entry = 0.0;
             ++tally.dropped;
             continue;
           }
-          tail.vals[pk] = multiplier;
+          entry = multiplier;
           // Strictly-upper entries only — the loop starts at p = 1.
           flops += 2 * static_cast<std::uint64_t>(urow.size() - 1);
           for (std::size_t p = 1; p < urow.size(); ++p) {
@@ -319,48 +313,54 @@ PilutResult pilut_factor(sim::Machine& machine, const DistCsr& dist,
             const real update = -multiplier * urow.vals[p];
             const idx pc = at.find(fc);
             if (pc >= 0) {
-              tail.vals[pc] += update;
+              tails.vals(fi)[pc] += update;
             } else {
-              at.set(fc, static_cast<idx>(tail.size()));
-              tail.push(c, update);  // fill lands on unfactored columns only
+              at.set(fc, static_cast<idx>(tails.size(fi)));
+              tails.push(r, fi, c, update);  // fill lands on unfactored columns only
               ++tally.fill;
             }
           }
         }
         const bool new_diag = at.find(fi) >= 0;
         // Merge surviving multipliers into L and re-apply the 3rd rule.
-        SparseRow& lrow = state.lparts[fi];
         for (std::size_t e = 0; e < elim_cols.size(); ++e) {
-          const real v = tail.vals[ll.elim_pos[e]];
-          if (v != 0.0) lrow.push(elim_cols[e], v);
+          const real v = tails.vals(fi)[ll.elim_pos[e]];
+          if (v != 0.0) state.lparts.push(r, fi, elim_cols[e], v);
         }
-        const std::size_t l_before = lrow.size();
-        select_largest(lrow, opts.m, tau_i, -1, scratch.kept);
-        tally.dropped += l_before - lrow.size();
+        const std::size_t l_before = state.lparts.size(fi);
+        state.lparts.truncate(fi, select_largest(state.lparts.cols(fi),
+                                                 state.lparts.vals(fi), opts.m, tau_i,
+                                                 -1, scratch.kept));
+        tally.dropped += l_before - state.lparts.size(fi);
         // Compact the factored (I_l) columns out, keeping the order: the
         // old tail's surviving entries, then the fill.
+        const std::span<idx> tcols = tails.cols(fi);
+        const std::span<real> tvals = tails.vals(fi);
         std::size_t kept = 0, old_kept = 0;
-        for (std::size_t p = 0; p < tail.size(); ++p) {
-          if (in_set[tail.cols[p]]) continue;
+        for (std::size_t p = 0; p < tcols.size(); ++p) {
+          if (in_set[tcols[p]]) continue;
           old_kept += p < old_size;
-          tail.cols[kept] = tail.cols[p];
-          tail.vals[kept++] = tail.vals[p];
+          tcols[kept] = tcols[p];
+          tvals[kept++] = tvals[p];
         }
-        tail.cols.resize(kept);
-        tail.vals.resize(kept);
+        tails.truncate(fi, kept);
         if (tail_cap > 0) {
-          ll.uncapped.assign(tail.cols.begin(), tail.cols.end());
-          select_largest(tail, tail_cap, 0.0, i, scratch.kept);
-          tally.dropped += kept - tail.size();
+          ll.uncapped.assign(tcols.begin(), tcols.begin() + kept);
+          tails.truncate(fi, select_largest(tails.cols(fi), tails.vals(fi), tail_cap,
+                                            0.0, i, scratch.kept));
+          tally.dropped += kept - tails.size(fi);
         }
-        reduced.update_row(r, ctx.lane(), pos, i,
-                           tail_cap > 0 ? ll.uncapped : tail.cols, old_kept, old_size,
-                           old_diag, tail, new_diag, tail_cap > 0, in_set);
+        const std::span<const idx> cols =
+            tail_cap > 0 ? std::span<const idx>(ll.uncapped) : tails.cols(fi);
+        reduced.update_row(r, ctx.lane(), pos, i, cols, old_kept, old_size, old_diag,
+                           tails.cols(fi), new_diag, tail_cap > 0, in_set);
         lane.max_reduced_row =
-            std::max(lane.max_reduced_row, static_cast<nnz_t>(tail.size()));
-        copied += tail.size() * (sizeof(idx) + sizeof(real));
+            std::max(lane.max_reduced_row, static_cast<nnz_t>(tails.size(fi)));
+        copied += tails.size(fi) * (sizeof(idx) + sizeof(real));
       }
-      reduced.end_level(r, iset);
+      reduced.end_level(r, iset, rows);
+      state.tails.compact(r, rows, iface_of);
+      state.lparts.compact(r, rows, iface_of);
       ctx.charge_flops(flops);
       ctx.charge_mem(copied);
       counters.commit(r, tally);

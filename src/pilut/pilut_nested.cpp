@@ -14,10 +14,11 @@ namespace {
 
 using pilut_detail::FactorState;
 using pilut_detail::Lane;
+using pilut_detail::RowView;
 
 /// Bytes moved when a reduced row migrates to a new host.
-std::uint64_t row_bytes(const SparseRow& tail, const SparseRow& lpart) {
-  return (tail.size() + lpart.size()) * (sizeof(idx) + sizeof(real)) + 16;
+std::uint64_t row_bytes(const pilut_detail::FactorState& state, idx f) {
+  return (state.tails.size(f) + state.lparts.size(f)) * (sizeof(idx) + sizeof(real)) + 16;
 }
 
 }  // namespace
@@ -92,7 +93,7 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
         if (!stage_interior[i]) continue;
         const real tau_i = opts.tau * norms[i];
         const idx fi = iface_of[i];
-        SparseRow& tail = state.tails[fi];
+        const RowView tail = state.tails.view(fi);
         const idx my_num = sched.newnum[i];
         const auto eliminatable = [&](idx c) {
           return stage_interior[c] && sched.newnum[c] < my_num;
@@ -108,7 +109,7 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
         // The stage's multipliers join the L part gathered so far (interior
         // columns and earlier stages' columns: disjoint from this stage's),
         // and the 3rd dropping rule runs over the whole row, as in pass 2.
-        SparseRow& lrow = state.lparts[fi];
+        pilut_detail::SlackRows& lparts = state.lparts;
         SparseRow& ustage = scratch.ustage;
         ustage.clear();
         real diag = 0.0;
@@ -117,22 +118,25 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
           if (c == i) {
             diag = v;
           } else if (eliminatable(c)) {
-            if (v != 0.0) lrow.push(c, v);  // multiplier -> L
+            if (v != 0.0) lparts.push(r, fi, c, v);  // multiplier -> L
           } else {
             ustage.push(c, v);  // factored later (larger new number)
           }
         }
-        const std::size_t staged = lrow.size() + ustage.size();
-        select_largest(lrow, opts.m, tau_i, -1, scratch.kept);  // 3rd dropping rule
+        const std::size_t staged = lparts.size(fi) + ustage.size();
+        // 3rd dropping rule
+        lparts.truncate(fi, select_largest(lparts.cols(fi), lparts.vals(fi), opts.m,
+                                           tau_i, -1, scratch.kept));
         select_largest(ustage, opts.m, tau_i, -1, scratch.kept);
-        tally.dropped += staged - lrow.size() - ustage.size();
+        tally.dropped += staged - lparts.size(fi) - ustage.size();
         diag = safeguard_pivot(i, diag,
                                opts.pivot_rel > 0.0 ? opts.pivot_rel * norms[i] : 0.0,
                                tally.guarded);
-        state.l.put(r, i, lrow);
+        state.l.put(r, i, lparts.view(fi));
         state.u.put_diag_first(r, i, diag, ustage);
-        tail = SparseRow{};  // the row is finished: free its working storage
-        lrow = SparseRow{};
+        // The row is finished: its working storage goes back to the host.
+        state.tails.release(r, fi);
+        lparts.release(r, fi);
         w.clear();
       }
 
@@ -141,7 +145,7 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
       for (const idx i : active[r]) {
         if (stage_interior[i]) continue;
         const idx fi = iface_of[i];
-        SparseRow& tail = state.tails[fi];
+        const RowView tail = state.tails.view(fi);
         bool touches_stage = false;
         for (const idx c : tail.cols) {
           if (stage_interior[c]) {
@@ -160,25 +164,29 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
         flops += pilut_detail::eliminate_cascading(w, state, tau_i, heap, eliminatable,
                                                    tally);
 
-        SparseRow& lrow = state.lparts[fi];
+        pilut_detail::SlackRows& lparts = state.lparts;
+        pilut_detail::SlackRows& tails = state.tails;
         for (const idx c : w.touched()) {
-          if (eliminatable(c) && w.value(c) != 0.0) lrow.push(c, w.value(c));
+          if (eliminatable(c) && w.value(c) != 0.0) lparts.push(r, fi, c, w.value(c));
         }
-        const std::size_t l_before = lrow.size();
-        select_largest(lrow, opts.m, tau_i, -1, scratch.kept);  // 3rd dropping rule
-        tally.dropped += l_before - lrow.size();
-        tail.clear();
+        const std::size_t l_before = lparts.size(fi);
+        // 3rd dropping rule
+        lparts.truncate(fi, select_largest(lparts.cols(fi), lparts.vals(fi), opts.m,
+                                           tau_i, -1, scratch.kept));
+        tally.dropped += l_before - lparts.size(fi);
+        tails.truncate(fi, 0);
         for (const idx c : w.touched()) {
-          if (!eliminatable(c)) tail.push(c, w.value(c));
+          if (!eliminatable(c)) tails.push(r, fi, c, w.value(c));
         }
         if (tail_cap > 0) {
-          const std::size_t t_before = tail.size();
-          select_largest(tail, tail_cap, 0.0, i, scratch.kept);
-          tally.dropped += t_before - tail.size();
+          const std::size_t t_before = tails.size(fi);
+          tails.truncate(fi, select_largest(tails.cols(fi), tails.vals(fi), tail_cap,
+                                            0.0, i, scratch.kept));
+          tally.dropped += t_before - tails.size(fi);
         }
         lane.max_reduced_row =
-            std::max(lane.max_reduced_row, static_cast<nnz_t>(tail.size()));
-        copied += tail.size() * (sizeof(idx) + sizeof(real));
+            std::max(lane.max_reduced_row, static_cast<nnz_t>(tails.size(fi)));
+        copied += tails.size(fi) * (sizeof(idx) + sizeof(real));
         w.clear();
       }
       ctx.charge_flops(flops);
@@ -199,8 +207,7 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
       // Gather everything onto rank 0 and factor the block sequentially.
       for (int r = 1; r < nranks; ++r) {
         for (const idx v : active[r]) {
-          machine.charge_transfer(r, 0, row_bytes(state.tails[iface_of[v]],
-                                                  state.lparts[iface_of[v]]),
+          machine.charge_transfer(r, 0, row_bytes(state, iface_of[v]),
                                   "nested/gather_sequential");
           host[v] = 0;
           active[0].push_back(v);
@@ -241,7 +248,7 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
         auto& lane_edges = edge_lanes[static_cast<std::size_t>(ctx.lane())];
         std::uint64_t scanned = 0;
         for (const idx v : active[r]) {
-          for (const idx c : state.tails[iface_of[v]].cols) {
+          for (const idx c : state.tails.cols(iface_of[v])) {
             if (c == v) continue;
             ++scanned;
             lane_edges.emplace_back(compact_of[v], compact_of[c]);
@@ -292,8 +299,7 @@ PilutResult pilut_factor_nested(sim::Machine& machine, const DistCsr& dist,
         const int new_host = part.part[c];
         if (host[v] != new_host) {
           machine.charge_transfer(host[v], new_host,
-                                  row_bytes(state.tails[iface_of[v]],
-                                            state.lparts[iface_of[v]]),
+                                  row_bytes(state, iface_of[v]),
                                   "nested/migrate");
           host[v] = static_cast<idx>(new_host);
         }

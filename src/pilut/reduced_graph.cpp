@@ -1,7 +1,6 @@
 #include "reduced_graph.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "ptilu/support/check.hpp"
 
@@ -10,43 +9,45 @@ namespace ptilu::pilut_detail {
 ReducedGraph::ReducedGraph(const DistCsr& dist, const IdxVec& iface_of, int lanes)
     : dist_(&dist),
       iface_of_(&iface_of),
-      in_(static_cast<std::size_t>(dist.interface_count_total())),
-      pos_(in_.size(), -1),
+      in_(static_cast<std::size_t>(dist.interface_count_total()), dist.nranks,
+          /*values=*/false),
+      pos_(static_cast<std::size_t>(dist.interface_count_total()), -1),
       ranks_(static_cast<std::size_t>(dist.nranks)),
       lanes_(static_cast<std::size_t>(lanes)) {
   for (LaneScratch& lane : lanes_) {
     lane.rank_stamp.assign(static_cast<std::size_t>(dist.nranks), 0);
     lane.last_row.assign(static_cast<std::size_t>(dist.nranks), -1);
-    lane.kept.assign(in_.size(), 0);
+    lane.pair_count.assign(static_cast<std::size_t>(dist.nranks), 0);
+    lane.pair_out.assign(static_cast<std::size_t>(dist.nranks), nullptr);
+    lane.kept.assign(pos_.size(), 0);
   }
 }
 
-void ReducedGraph::begin_level(int r, const IdxVec& active,
-                               const std::vector<SparseRow>& tails) {
+void ReducedGraph::begin_level(int r, const IdxVec& active, const SlackRows& tails) {
   for (std::size_t i = 0; i < active.size(); ++i) {
     pos_[iface(active[i])] = static_cast<idx>(i);
   }
   RankState& rs = ranks_[r];
   if (rs.built) return;
   rs.built = true;
-  rs.slot.assign(in_.size(), -1);
+  rs.slot.assign(pos_.size(), -1);
   const IdxVec& owner = dist_->owner;
   rs.remote_ptr.assign(1, 0);
   rs.remote_cols.clear();
-  // Size each local in-edge list first, so that it is allocated once.
-  IdxVec in_count(in_.size(), 0);
+  // Size each local in-edge list first, so that it is placed once.
+  IdxVec in_count(pos_.size(), 0);
   for (const idx v : active) {
-    for (const idx c : tails[iface(v)].cols) {
+    for (const idx c : tails.cols(iface(v))) {
       if (c != v && owner[c] == r) ++in_count[iface(c)];
     }
   }
-  for (const idx v : active) in_[iface(v)].reserve(in_count[iface(v)]);
+  for (const idx v : active) in_.reserve(r, iface(v), in_count[iface(v)]);
   for (const idx v : active) {  // ascending, so every in-edge list comes out sorted
-    for (const idx c : tails[iface(v)].cols) {
+    for (const idx c : tails.cols(iface(v))) {
       if (c == v) continue;
       ++rs.out_edges;
       if (owner[c] == r) {
-        in_[iface(c)].push_back(v);
+        in_.push(r, iface(c), v);
       } else {
         rs.remote_cols.push_back(c);
         add_remote_ref(rs, v, c);
@@ -56,24 +57,24 @@ void ReducedGraph::begin_level(int r, const IdxVec& active,
   }
 }
 
-void ReducedGraph::queue_reverse_pairs(int r, int lane, const IdxVec& active,
-                                       std::vector<IdxVec>& reverse_out) {
+void ReducedGraph::send_reverse_pairs(sim::RankContext& ctx, const IdxVec& active) {
+  const int r = ctx.rank();
   RankState& rs = ranks_[r];
-  IdxVec& last = lanes_[static_cast<std::size_t>(lane)].last_row;
+  LaneScratch& ls = lanes_[static_cast<std::size_t>(ctx.lane())];
+  IdxVec& last = ls.last_row;
   std::fill(last.begin(), last.end(), -1);
   const IdxVec& owner = dist_->owner;
-  // The ranks each row sends a pair to are the owners of its remote
-  // out-columns: half of its peer index, collected on the way.
+  // Count the pairs for each peer. The ranks each row sends a pair to are
+  // the owners of its remote out-columns: half of its peer index,
+  // collected on the way.
   rs.out_peer_ptr.assign(1, 0);
   rs.out_peers.clear();
+  ls.peers.clear();
   for (std::size_t i = 0; i < active.size(); ++i) {
     const idx v = active[i];
     for (idx k = rs.remote_ptr[i]; k < rs.remote_ptr[i + 1]; ++k) {
-      const idx c = rs.remote_cols[k];
-      const int peer = owner[c];
-      IdxVec& out = reverse_out[peer];
-      out.push_back(c);
-      out.push_back(v);
+      const int peer = owner[rs.remote_cols[k]];
+      if (ls.pair_count[peer]++ == 0) ls.peers.push_back(peer);
       if (last[peer] != v) {
         last[peer] = v;
         rs.out_peers.push_back(peer);
@@ -81,11 +82,30 @@ void ReducedGraph::queue_reverse_pairs(int r, int lane, const IdxVec& active,
     }
     rs.out_peer_ptr.push_back(static_cast<idx>(rs.out_peers.size()));
   }
+  // One message per peer, ascending, written in place: the (column, row)
+  // pairs, rows ascending, columns in tail order.
+  std::sort(ls.peers.begin(), ls.peers.end());
+  for (const int peer : ls.peers) {
+    // Called only from the pilut/setup/reverse_edges superstep, inside its
+    // "setup" ScopedPhase.
+    const auto words = 2 * static_cast<std::size_t>(ls.pair_count[peer]);
+    // ptilu-lint: allow(spmd-phase-coverage)
+    ls.pair_out[peer] = ctx.send_in_place<idx>(peer, 0, words).data();
+    ls.pair_count[peer] = 0;
+  }
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    for (idx k = rs.remote_ptr[i]; k < rs.remote_ptr[i + 1]; ++k) {
+      const idx c = rs.remote_cols[k];
+      idx*& out = ls.pair_out[owner[c]];
+      *out++ = c;
+      *out++ = active[i];
+    }
+  }
 }
 
 void ReducedGraph::assemble(int r, int lane, const IdxVec& active,
-                            const std::vector<SparseRow>& tails,
-                            const std::vector<sim::Message>& messages,
+                            const SlackRows& tails,
+                            std::span<const sim::Message> messages,
                             DistGraph::Part& part) {
   RankState& rs = ranks_[r];
   LaneScratch& ls = lanes_[static_cast<std::size_t>(lane)];
@@ -95,29 +115,24 @@ void ReducedGraph::assemble(int r, int lane, const IdxVec& active,
   // pairs in message (sender rank) order keeps each sender's scan order.
   // Each entry also records its sender, the owner of its source. The
   // payloads are read in place.
-  const auto pair_at = [](const sim::Message& msg, std::size_t k) {
-    idx value;
-    std::memcpy(&value, msg.payload.data() + k * sizeof(idx), sizeof(idx));
-    return value;
-  };
   rs.rin_ptr.assign(na + 1, 0);
   std::size_t received = 0;
   for (const sim::Message& msg : messages) {
-    const std::size_t words = msg.payload.size() / sizeof(idx);
-    for (std::size_t k = 0; k < words; k += 2) {
-      ++rs.rin_ptr[pos_[iface(pair_at(msg, k))] + 1];
+    const std::span<const idx> pairs = msg.as<idx>();
+    for (std::size_t k = 0; k < pairs.size(); k += 2) {
+      ++rs.rin_ptr[pos_[iface(pairs[k])] + 1];
     }
-    received += words / 2;
+    received += pairs.size() / 2;
   }
   for (std::size_t i = 0; i < na; ++i) rs.rin_ptr[i + 1] += rs.rin_ptr[i];
   rs.rin_src.resize(received);
   ls.rin_from.resize(received);
   ls.cursor.assign(rs.rin_ptr.begin(), rs.rin_ptr.end() - 1);
   for (const sim::Message& msg : messages) {
-    const std::size_t words = msg.payload.size() / sizeof(idx);
-    for (std::size_t k = 0; k < words; k += 2) {
-      const idx at = ls.cursor[pos_[iface(pair_at(msg, k))]]++;
-      rs.rin_src[at] = pair_at(msg, k + 1);
+    const std::span<const idx> pairs = msg.as<idx>();
+    for (std::size_t k = 0; k < pairs.size(); k += 2) {
+      const idx at = ls.cursor[pos_[iface(pairs[k])]]++;
+      rs.rin_src[at] = pairs[k + 1];
       ls.rin_from[at] = msg.from;
     }
   }
@@ -130,9 +145,9 @@ void ReducedGraph::assemble(int r, int lane, const IdxVec& active,
   const idx* rin = rs.rin_src.data();
   for (std::size_t i = 0; i < na; ++i) {
     const idx v = active[i];
-    const IdxVec& in = in_[iface(v)];
+    const std::span<const idx> in = in_.cols(iface(v));
     const idx* split = std::lower_bound(in.data(), in.data() + in.size(), v);
-    const IdxVec& out = tails[iface(v)].cols;
+    const std::span<const idx> out = tails.cols(iface(v));
     DistGraph::Range* seg = part.seg.data() + i * DistGraph::kSegments;
     seg[0] = {in.data(), split};
     seg[1] = {out.data(), out.data() + out.size()};
@@ -150,9 +165,9 @@ void ReducedGraph::assemble(int r, int lane, const IdxVec& active,
   });
 }
 
-void ReducedGraph::retire_row(int r, idx v, const SparseRow& tail) {
+void ReducedGraph::retire_row(int r, idx v, std::span<const idx> tail) {
   RankState& rs = ranks_[r];
-  for (const idx c : tail.cols) {
+  for (const idx c : tail) {
     if (c == v) continue;
     --rs.out_edges;
     if (dist_->owner[c] == r) {
@@ -167,22 +182,21 @@ void ReducedGraph::retire_row(int r, idx v, const SparseRow& tail) {
   pos_[iface(v)] = -1;
 }
 
-const IdxVec* ReducedGraph::rows_referencing(int r, idx v) const {
-  if (dist_->owner[v] == r) return &in_[iface(v)];
+std::span<const idx> ReducedGraph::rows_referencing(int r, idx v) const {
+  if (dist_->owner[v] == r) return in_.cols(iface(v));
   const RankState& rs = ranks_[r];
   const idx s = rs.slot[iface(v)];
-  return s < 0 ? nullptr : &rs.rows[s];
+  if (s < 0) return {};
+  return rs.rows[s];
 }
 
 void ReducedGraph::eliminations(int r, std::size_t n_active, const IdxVec& iset, IdxVec& ptr,
                                 IdxVec& cols) const {
   ptr.assign(n_active + 1, 0);
   for (const idx v : iset) {
-    if (const IdxVec* rows = rows_referencing(r, v)) {
-      for (const idx i : *rows) {
-        const idx p = pos_[iface(i)];
-        if (p >= 0) ++ptr[p + 1];
-      }
+    for (const idx i : rows_referencing(r, v)) {
+      const idx p = pos_[iface(i)];
+      if (p >= 0) ++ptr[p + 1];
     }
   }
   for (std::size_t k = 0; k < n_active; ++k) ptr[k + 1] += ptr[k];
@@ -190,11 +204,9 @@ void ReducedGraph::eliminations(int r, std::size_t n_active, const IdxVec& iset,
   // Fill with ptr[k] as row k's cursor, which leaves ptr[k] at row k's
   // end, i.e. row k + 1's start; shifting by one restores the offsets.
   for (const idx v : iset) {
-    if (const IdxVec* rows = rows_referencing(r, v)) {
-      for (const idx i : *rows) {
-        const idx p = pos_[iface(i)];
-        if (p >= 0) cols[ptr[p]++] = v;
-      }
+    for (const idx i : rows_referencing(r, v)) {
+      const idx p = pos_[iface(i)];
+      if (p >= 0) cols[ptr[p]++] = v;
     }
   }
   for (std::size_t k = n_active; k > 0; --k) ptr[k] = ptr[k - 1];
@@ -210,8 +222,8 @@ void ReducedGraph::keep_row(int r, std::size_t pos) {
 
 void ReducedGraph::update_row(int r, int lane, std::size_t pos, idx i,
                               std::span<const idx> cols, std::size_t old_kept,
-                              std::size_t old_size, bool old_diag, const SparseRow& tail,
-                              bool new_diag, bool capped,
+                              std::size_t old_size, bool old_diag,
+                              std::span<const idx> tail, bool new_diag, bool capped,
                               const std::vector<std::uint8_t>& in_set) {
   RankState& rs = ranks_[r];
   IdxVec& next = rs.next_cols;
@@ -233,7 +245,7 @@ void ReducedGraph::update_row(int r, int lane, std::size_t pos, idx i,
     // Capped: the selection may drop old columns as well as fill, and the
     // new tail comes sorted by column.
     std::vector<std::uint8_t>& kept = lanes_[static_cast<std::size_t>(lane)].kept;
-    for (const idx c : tail.cols) kept[iface(c)] = 1;
+    for (const idx c : tail) kept[iface(c)] = 1;
     for (std::size_t k = 0; k < cols.size(); ++k) {
       const idx c = cols[k];
       if (c == i) continue;
@@ -244,7 +256,7 @@ void ReducedGraph::update_row(int r, int lane, std::size_t pos, idx i,
         remove_edge(r, i, c);
       }
     }
-    for (const idx c : tail.cols) {
+    for (const idx c : tail) {
       kept[iface(c)] = 0;
       if (c != i && dist_->owner[c] != r) next.push_back(c);
     }
@@ -252,15 +264,16 @@ void ReducedGraph::update_row(int r, int lane, std::size_t pos, idx i,
   rs.next_ptr.push_back(static_cast<idx>(next.size()));
 }
 
-void ReducedGraph::end_level(int r, const IdxVec& iset) {
+void ReducedGraph::end_level(int r, const IdxVec& iset, const IdxVec& active) {
   RankState& rs = ranks_[r];
   for (const idx v : iset) {
     if (dist_->owner[v] == r) {
-      IdxVec().swap(in_[iface(v)]);
+      in_.release(r, iface(v));
     } else if (rs.slot[iface(v)] >= 0) {
       release_slot(rs, v);
     }
   }
+  in_.compact(r, active, *iface_of_);
   std::swap(rs.remote_ptr, rs.next_ptr);
   std::swap(rs.remote_cols, rs.next_cols);
   rs.next_ptr.assign(1, 0);
@@ -269,8 +282,11 @@ void ReducedGraph::end_level(int r, const IdxVec& iset) {
 
 void ReducedGraph::add_edge(int r, idx row, idx col) {
   if (dist_->owner[col] == r) {
-    IdxVec& in = in_[iface(col)];
-    in.insert(std::lower_bound(in.begin(), in.end(), row), row);
+    const std::span<const idx> in = in_.cols(iface(col));
+    in_.insert(r, iface(col),
+               static_cast<std::size_t>(std::lower_bound(in.begin(), in.end(), row) -
+                                        in.begin()),
+               row);
   } else {
     add_remote_ref(ranks_[r], row, col);
   }
@@ -293,10 +309,10 @@ void ReducedGraph::remove_edge(int r, idx row, idx col) {
 }
 
 void ReducedGraph::remove_local_ref(idx row, idx col) {
-  IdxVec& in = in_[iface(col)];
+  const std::span<const idx> in = in_.cols(iface(col));
   const auto it = std::lower_bound(in.begin(), in.end(), row);
   PTILU_ASSERT(it != in.end() && *it == row, "missing in-edge " << row << " -> " << col);
-  in.erase(it);
+  in_.erase(iface(col), static_cast<std::size_t>(it - in.begin()));
 }
 
 void ReducedGraph::add_remote_ref(RankState& rs, idx row, idx col) {
@@ -325,7 +341,7 @@ void ReducedGraph::release_slot(RankState& rs, idx col) {
 
 void check_against_rebuild(const DistCsr& dist, const IdxVec& iface_of,
                            const std::vector<IdxVec>& active,
-                           const std::vector<SparseRow>& tails, const DistGraph& graph,
+                           const SlackRows& tails, const DistGraph& graph,
                            long long edges) {
   const int nranks = dist.nranks;
   IdxVec pos(dist.n(), -1);
@@ -338,7 +354,7 @@ void check_against_rebuild(const DistCsr& dist, const IdxVec& iface_of,
   for (int r = 0; r < nranks; ++r) {
     for (std::size_t i = 0; i < active[r].size(); ++i) {
       const idx v = active[r][i];
-      for (const idx c : tails[iface_of[v]].cols) {
+      for (const idx c : tails.cols(iface_of[v])) {
         if (c == v) continue;
         adj[r][i].push_back(c);
         if (dist.owner[c] == r) adj[r][pos[c]].push_back(v);
@@ -349,7 +365,7 @@ void check_against_rebuild(const DistCsr& dist, const IdxVec& iface_of,
   long long total = 0;
   for (int s = 0; s < nranks; ++s) {
     for (const idx v : active[s]) {
-      for (const idx c : tails[iface_of[v]].cols) {
+      for (const idx c : tails.cols(iface_of[v])) {
         if (c != v && dist.owner[c] != s) adj[dist.owner[c]][pos[c]].push_back(v);
       }
     }

@@ -10,7 +10,8 @@
 //
 // Per rank it keeps:
 //   * out-edges: the tails themselves, never copied;
-//   * local in-edges of each owned vertex, sorted by source;
+//   * local in-edges of each owned vertex, sorted by source, in per-rank
+//     storage with slack (SlackRows) rather than one vector per vertex;
 //   * each row's remote columns, in tail order, packed by active position
 //     (the reverse pairs of the communication setup are read from these);
 //   * an index from each remote column to the local rows that reference
@@ -43,6 +44,7 @@
 #include <span>
 #include <vector>
 
+#include "detail.hpp"
 #include "ptilu/dist/distcsr.hpp"
 #include "ptilu/dist/mis_dist.hpp"
 #include "ptilu/ilu/factors.hpp"
@@ -60,24 +62,24 @@ class ReducedGraph {
   /// Start a level on rank r: record the positions of its active rows and,
   /// on the first level, index them from their tails (the one full scan).
   /// Tails are indexed by interface number.
-  void begin_level(int r, const IdxVec& active, const std::vector<SparseRow>& tails);
-  /// Append the (column, row) reverse pair of every remote out-edge of rank
-  /// r to reverse_out[owner of column], rows ascending, columns in tail order.
-  void queue_reverse_pairs(int r, int lane, const IdxVec& active,
-                           std::vector<IdxVec>& reverse_out);
+  void begin_level(int r, const IdxVec& active, const SlackRows& tails);
+  /// Send the (column, row) reverse pair of every remote out-edge of rank
+  /// ctx.rank() to the owner of the column: one message per peer, peers
+  /// ascending, rows ascending, columns in tail order.
+  void send_reverse_pairs(sim::RankContext& ctx, const IdxVec& active);
   /// Off-diagonal tail entries of rank r's active rows: the out-edges.
   std::uint64_t out_edges(int r) const { return ranks_[r].out_edges; }
 
   // ---- pilut/setup/apply_reverse ----
   /// Rebuild rank r's remote in-edges from the reverse-pair messages and
   /// point `part` at this level's neighbor sequences (with its peer index).
-  void assemble(int r, int lane, const IdxVec& active, const std::vector<SparseRow>& tails,
-                const std::vector<sim::Message>& messages, DistGraph::Part& part);
+  void assemble(int r, int lane, const IdxVec& active, const SlackRows& tails,
+                std::span<const sim::Message> messages, DistGraph::Part& part);
 
   // ---- pilut/factor_set ----
   /// Row v (owned by r) joins I_l: remove its out-edges. Call before its
   /// tail is cleared.
-  void retire_row(int r, idx v, const SparseRow& tail);
+  void retire_row(int r, idx v, std::span<const idx> tail);
 
   // ---- pilut/exchange/request ----
   /// Whether a row of rank r references remote column c.
@@ -98,15 +100,16 @@ class ReducedGraph {
   /// hold the diagonal. Move the row's edges from the old tail to the new.
   void update_row(int r, int lane, std::size_t pos, idx i, std::span<const idx> cols,
                   std::size_t old_kept, std::size_t old_size, bool old_diag,
-                  const SparseRow& tail, bool new_diag, bool capped,
+                  std::span<const idx> tail, bool new_diag, bool capped,
                   const std::vector<std::uint8_t>& in_set);
   /// The row at active position `pos` stays as it is this level. Every
   /// row that stays active gets exactly one update_row or keep_row call,
   /// in position order.
   void keep_row(int r, std::size_t pos);
-  /// After the level's reductions: forget the I_l columns rank r indexed
-  /// and make the rows' new remote lists current.
-  void end_level(int r, const IdxVec& iset);
+  /// After the level's reductions: forget the I_l columns rank r indexed,
+  /// make the rows' new remote lists current, and compact the in-edge
+  /// storage of the rank's `active` rows when it has grown slack.
+  void end_level(int r, const IdxVec& iset, const IdxVec& active);
 
  private:
   struct RankState {
@@ -129,12 +132,15 @@ class ReducedGraph {
     IdxVec cursor;                    // counting-sort fill cursors
     std::vector<int> rin_from;        // sender of each remote in-edge
     IdxVec last_row;                  // by rank: last row that sent it a pair
+    IdxVec pair_count;                // by rank: pairs for it, zero between calls
+    std::vector<idx*> pair_out;       // by rank: fill cursor in its message
+    std::vector<int> peers;           // ranks with pairs this level
     std::vector<std::uint8_t> rank_stamp;  // peer dedup, by rank
     std::vector<std::uint8_t> kept;        // capped update: new-tail membership
   };
 
   /// The rows of rank r whose tails hold column v.
-  const IdxVec* rows_referencing(int r, idx v) const;
+  std::span<const idx> rows_referencing(int r, idx v) const;
   // Index maintenance of one edge; the callers keep the edge counts.
   void add_edge(int r, idx row, idx col);
   void remove_edge(int r, idx row, idx col);
@@ -146,7 +152,7 @@ class ReducedGraph {
 
   const DistCsr* dist_;
   const IdxVec* iface_of_;
-  std::vector<IdxVec> in_;       // [owned vertex] local in-edges, sources ascending
+  SlackRows in_;                 // [owned vertex] local in-edges, sources ascending
   IdxVec pos_;                   // [active vertex] position in its owner's active list
                                  // (both by interface number)
   std::vector<RankState> ranks_;
@@ -161,7 +167,7 @@ class ReducedGraph {
 /// count `edges` match it.
 void check_against_rebuild(const DistCsr& dist, const IdxVec& iface_of,
                            const std::vector<IdxVec>& active,
-                           const std::vector<SparseRow>& tails, const DistGraph& graph,
+                           const SlackRows& tails, const DistGraph& graph,
                            long long edges);
 
 }  // namespace ptilu::pilut_detail

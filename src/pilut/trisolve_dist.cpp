@@ -1,7 +1,6 @@
 #include "ptilu/pilut/trisolve_dist.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <ranges>
 #include <span>
 #include <tuple>
@@ -292,26 +291,22 @@ void DistTriangularSolver::post(sim::RankContext& ctx, const SweepPlan& plan, in
   for (; next < end && plan.sends[next].step == step; ++next) {
     const Send& send = plan.sends[next];
     const idx* cols = plan.slot_col.data() + send.first;
-    std::vector<std::byte> indices(send.count * sizeof(idx));
-    std::memcpy(indices.data(), cols, indices.size());
-    // Each index's k values contiguously, the layout of the receiver's slots.
-    const std::size_t width = static_cast<std::size_t>(k);
-    std::vector<std::byte> values(send.count * width * sizeof(real));
-    std::byte* dst = values.data();
-    for (std::size_t t = 0; t < send.count; ++t) {
-      for (int c = 0; c < k; ++c) {
-        const real v = x[static_cast<std::size_t>(c) * stride +
-                         static_cast<std::size_t>(cols[t])];
-        std::memcpy(dst, &v, sizeof(real));
-        dst += sizeof(real);
-      }
-    }
     // Every superstep that posts sits inside the sweep's per-phase
     // ScopedPhase; the phase is inherited from the caller, not opened here.
     // ptilu-lint: allow(spmd-phase-coverage)
-    ctx.send_bytes(send.peer, kTagIdx, std::move(indices));
+    const std::span<idx> indices = ctx.send_in_place<idx>(send.peer, kTagIdx, send.count);
+    std::copy(cols, cols + send.count, indices.begin());
+    // Each index's k values contiguously, the layout of the receiver's slots.
+    const std::size_t count = send.count * static_cast<std::size_t>(k);
     // ptilu-lint: allow(spmd-phase-coverage)
-    ctx.send_bytes(send.peer, kTagVal, std::move(values));
+    const std::span<real> values = ctx.send_in_place<real>(send.peer, kTagVal, count);
+    real* dst = values.data();
+    for (std::size_t t = 0; t < send.count; ++t) {
+      for (int c = 0; c < k; ++c) {
+        *dst++ = x[static_cast<std::size_t>(c) * stride +
+                   static_cast<std::size_t>(cols[t])];
+      }
+    }
   }
 }
 
@@ -334,11 +329,11 @@ void DistTriangularSolver::drain(sim::RankContext& ctx, const SweepPlan& plan,
       PTILU_CHECK(pending == 0 && msg.payload.size() % sizeof(idx) == 0,
                   "rank " << r << " at " << site
                           << ": malformed index message from rank " << msg.from);
-      pending = msg.payload.size() / sizeof(idx);
+      const std::span<const idx> indices = msg.as<idx>();
+      pending = indices.size();
       pending_from = msg.from;
       for (std::size_t t = 0; t < pending; ++t) {
-        idx j = 0;
-        std::memcpy(&j, msg.payload.data() + t * sizeof(idx), sizeof(idx));
+        const idx j = indices[t];
         const std::size_t slot = filled + t;
         const idx expected = slot < slots ? plan.slot_col[base + slot] : -1;
         PTILU_CHECK(j == expected,
@@ -351,7 +346,8 @@ void DistTriangularSolver::drain(sim::RankContext& ctx, const SweepPlan& plan,
                       msg.payload.size() == pending * width * sizeof(real),
                   "rank " << r << " at " << site << ": unexpected message (tag "
                           << msg.tag << ") from rank " << msg.from);
-      std::memcpy(next + filled * width, msg.payload.data(), msg.payload.size());
+      const std::span<const real> values = msg.as<real>();
+      std::copy(values.begin(), values.end(), next + filled * width);
       filled += pending;
       pending = 0;
       pending_from = -1;

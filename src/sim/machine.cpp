@@ -6,7 +6,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -21,29 +20,22 @@ namespace ptilu::sim {
 namespace {
 
 template <typename T>
-std::vector<std::byte> encode(const std::vector<T>& data) {
-  std::vector<std::byte> out(data.size() * sizeof(T));
-  if (!data.empty()) std::memcpy(out.data(), data.data(), out.size());
-  return out;
-}
-
-template <typename T>
-void decode_append(const Message& m, std::vector<T>& out) {
-  PTILU_CHECK(m.payload.size() % sizeof(T) == 0,
-              "payload size " << m.payload.size() << " not a multiple of element size");
-  const std::size_t count = m.payload.size() / sizeof(T);
-  if (count == 0) return;
-  const std::size_t old_size = out.size();
-  out.resize(old_size + count);
-  std::memcpy(out.data() + old_size, m.payload.data(), m.payload.size());
-}
-
-template <typename T>
 std::vector<T> decode(const Message& m) {
-  std::vector<T> out;
-  decode_append(m, out);
-  return out;
+  const std::span<const T> data = m.as<T>();
+  return {data.begin(), data.end()};
 }
+
+template <typename T>
+void send_copy(RankContext& ctx, int to, int tag, const std::vector<T>& data) {
+  const std::span<T> payload = ctx.send_in_place<T>(to, tag, data.size());
+  std::copy(data.begin(), data.end(), payload.begin());
+}
+
+/// Smallest arena chunk: enough for the typical superstep of one sender.
+constexpr std::size_t kMinArenaChunk = 1024;
+/// An arena keeps up to this much memory however little a superstep sends;
+/// a larger one is given back once a superstep fills under a quarter of it.
+constexpr std::size_t kKeptArena = std::size_t{4} << 10;
 
 /// Rank whose body is executing on this thread, -1 outside a step. Backs
 /// the cross-rank-write asserts in the charge paths: a rank body must only
@@ -128,7 +120,7 @@ class Machine::WorkerPool {
 
   int size() const { return static_cast<int>(threads_.size()); }
 
-  void run(int ntasks, const std::function<void(int)>& fn) {
+  void run(int ntasks, FunctionRef<void(int)> fn) {
     std::unique_lock<std::mutex> lock(mutex_);
     job_ = &fn;
     ntasks_ = ntasks;
@@ -148,7 +140,7 @@ class Machine::WorkerPool {
       work_cv_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
       if (shutdown_) return;
       seen = generation_;
-      const std::function<void(int)>* job = job_;
+      const FunctionRef<void(int)>* job = job_;
       const int ntasks = ntasks_;
       lock.unlock();
       while (true) {
@@ -166,7 +158,7 @@ class Machine::WorkerPool {
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(int)>* job_ = nullptr;
+  const FunctionRef<void(int)>* job_ = nullptr;
   int ntasks_ = 0;
   int idle_ = 0;
   std::uint64_t generation_ = 0;
@@ -183,31 +175,30 @@ int RankContext::lane() const {
 void RankContext::charge_flops(std::uint64_t n) { machine_->charge_flops(rank_, n); }
 void RankContext::charge_mem(std::uint64_t n) { machine_->charge_mem(rank_, n); }
 
-void RankContext::send_bytes(int to, int tag, std::vector<std::byte> payload) {
-  machine_->post(rank_, to, tag, std::move(payload));
+std::byte* RankContext::post(int to, int tag, std::size_t bytes) {
+  return machine_->post(rank_, to, tag, bytes);
 }
 
 void RankContext::send_indices(int to, int tag, const IdxVec& data) {
-  send_bytes(to, tag, encode(data));
+  send_copy(*this, to, tag, data);
 }
 
 void RankContext::send_reals(int to, int tag, const RealVec& data) {
-  send_bytes(to, tag, encode(data));
+  send_copy(*this, to, tag, data);
 }
 
-std::vector<Message> RankContext::recv_all() {
+std::span<const Message> RankContext::recv_all() {
   PTILU_ASSERT(tl_current_rank == -1 || tl_current_rank == rank_,
                "rank " << tl_current_rank << " drained rank " << rank_ << "'s inbox");
   if (machine_->checker_ != nullptr) machine_->checker_->on_recv_all(rank_);
-  // Sparse inbox: ranks with no inbound traffic have no map entry at all.
-  // find() only reads the tree and the exchange below only touches this
-  // rank's mapped vector, so concurrent drains from the worker pool are
-  // safe — the map's structure is mutated exclusively at the barrier.
-  const auto it = machine_->inbox_.find(rank_);
-  if (it == machine_->inbox_.end()) return {};
-  // std::exchange (not a bare move) so a second drain in the same superstep
-  // reads a well-defined empty inbox instead of a moved-from vector.
-  return std::exchange(it->second, std::vector<Message>{});
+  // Only this rank's box is touched, so concurrent drains from the worker
+  // pool are safe; delivered_ itself changes only at the barrier. Only
+  // boxes with messages are marked drained, so the next delivery clears
+  // every mark through its list of touched destinations.
+  Machine::Box& box = machine_->boxes_[static_cast<std::size_t>(rank_)];
+  if (box.drained || box.count == 0) return {};
+  box.drained = true;
+  return {machine_->delivered_.data() + box.begin, box.count};
 }
 
 void RankContext::declare_collective(CollectiveOp op, std::uint64_t bytes,
@@ -219,8 +210,38 @@ void RankContext::declare_collective(CollectiveOp op, std::uint64_t bytes,
 
 IdxVec decode_indices(const Message& m) { return decode<idx>(m); }
 RealVec decode_reals(const Message& m) { return decode<real>(m); }
-void decode_indices_append(const Message& m, IdxVec& out) { decode_append(m, out); }
-void decode_reals_append(const Message& m, RealVec& out) { decode_append(m, out); }
+
+std::byte* Machine::Arena::append(std::size_t bytes) {
+  std::size_t at = (used_ + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign;
+  if (chunks_.empty() || at + bytes > chunks_.back().cap) {
+    const std::size_t doubled = chunks_.empty() ? 0 : 2 * chunks_.back().cap;
+    const std::size_t cap = std::max({kMinArenaChunk, bytes, doubled});
+    if (!chunks_.empty()) earlier_ += used_;
+    chunks_.push_back({std::make_unique_for_overwrite<std::byte[]>(cap), cap});
+    at = 0;
+  }
+  used_ = at + bytes;
+  return chunks_.back().data.get() + at;
+}
+
+void Machine::Arena::clear() {
+  const std::size_t held = earlier_ + used_;
+  if (chunks_.size() == 1 && chunks_[0].cap > kKeptArena && 4 * held < chunks_[0].cap) {
+    chunks_.clear();  // a burst is over: give its memory back
+  } else if (chunks_.size() > 1) {
+    const std::size_t cap = std::max(held, kMinArenaChunk);
+    chunks_.clear();
+    chunks_.push_back({std::make_unique_for_overwrite<std::byte[]>(cap), cap});
+  }
+  used_ = 0;
+  earlier_ = 0;
+}
+
+void Machine::Arena::truncate(const Mark& mark) {
+  chunks_.resize(mark.chunks);
+  used_ = mark.used;
+  earlier_ = mark.earlier;
+}
 
 Machine::Machine(int nranks, MachineParams params)
     : Machine(nranks, Options{.params = params}) {}
@@ -232,7 +253,9 @@ Machine::Machine(int nranks, const Options& options)
       threads_option_(options.threads),
       clock_(nranks, 0.0),
       counters_(nranks),
-      staged_(nranks) {
+      arenas_(static_cast<std::size_t>(nranks)),
+      staged_(static_cast<std::size_t>(nranks)),
+      boxes_(static_cast<std::size_t>(nranks)) {
   PTILU_CHECK(nranks >= 1, "machine needs at least one rank");
   if (options.check) {
     checker_ = std::make_unique<Conformance>(nranks, options.transcript_tail);
@@ -290,15 +313,14 @@ void Machine::charge_mem(int rank, std::uint64_t n) {
   clock_[rank] += cost;
 }
 
-void Machine::post(int from, int to, int tag, std::vector<std::byte> payload) {
+std::byte* Machine::post(int from, int to, int tag, std::size_t bytes) {
   PTILU_ASSERT(tl_current_rank == -1 || tl_current_rank == from,
                "rank " << tl_current_rank << " posted a message as rank " << from);
   // The checker validates the destination first: its report names the call
   // site and dumps the protocol transcript, where the bare check below can
   // only name the rank.
-  if (checker_ != nullptr) checker_->on_send(from, to, tag, payload.size());
+  if (checker_ != nullptr) checker_->on_send(from, to, tag, bytes);
   PTILU_CHECK(to >= 0 && to < nranks_, "send to invalid rank " << to);
-  const std::uint64_t bytes = payload.size();
   counters_[from].messages_sent += 1;
   counters_[from].bytes_sent += bytes;
   // Sender pays latency plus per-byte injection cost.
@@ -315,13 +337,17 @@ void Machine::post(int from, int to, int tag, std::vector<std::byte> payload) {
   // Rank-local like the staged outbox below: only `from`'s comm-matrix row
   // is touched, so the threaded backend needs no merge machinery here.
   if (metrics_ != nullptr) metrics_->on_send(from, to, bytes);
-  // Staged in the *sender's* slot (no cross-rank write); the barrier merges
-  // the stages destination-wise in sender-rank order, reproducing exactly
-  // the delivery order of a per-destination push.
-  staged_[from].push_back(Posted{to, Message{from, tag, std::move(payload)}});
+  // The payload goes into the sender's own arena and the record into its
+  // own stage (no cross-rank write); the barrier groups the stages by
+  // destination in sender-rank order.
+  Arena& arena = arenas_[static_cast<std::size_t>(from)][deliveries_ & 1];
+  std::byte* payload = arena.append(bytes);
+  staged_[static_cast<std::size_t>(from)].push_back(
+      Posted{to, Message{from, tag, {payload, bytes}}});
+  return payload;
 }
 
-void Machine::run_bodies(const std::function<void(RankContext&)>& body) {
+void Machine::run_bodies(FunctionRef<void(RankContext&)> body) {
   for (int r = 0; r < nranks_; ++r) {
     const RankGuard guard(r);
     RankContext ctx(*this, r);
@@ -338,7 +364,7 @@ void Machine::flush_pending_trace(int upto_rank) {
   for (auto& spans : pending_trace_) spans.clear();
 }
 
-void Machine::run_bodies_threaded(const std::function<void(RankContext&)>& body) {
+void Machine::run_bodies_threaded(FunctionRef<void(RankContext&)> body) {
   const bool tracing = trace_ != nullptr;
   if (tracing) {
     pending_trace_.resize(static_cast<std::size_t>(nranks_));
@@ -347,25 +373,32 @@ void Machine::run_bodies_threaded(const std::function<void(RankContext&)>& body)
   }
   if (checker_ != nullptr) checker_->begin_deferred();
   if (pool_ == nullptr) pool_ = std::make_unique<WorkerPool>(resolved_pool_size());
-  // Snapshot per-rank accounting: if a body throws, the ranks the
-  // sequential interpreter would never have run are rolled back so the
+  // Snapshot per-rank accounting and traffic: if a body throws, the ranks
+  // the sequential interpreter would never have run are rolled back so the
   // machine state after the throw matches the sequential backend's.
-  const std::vector<double> clock_before = clock_;
-  const std::vector<RankCounters> counters_before = counters_;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks_));
+  const std::size_t buffer = deliveries_ & 1;
+  clock_before_ = clock_;
+  counters_before_ = counters_;
+  staged_before_.resize(static_cast<std::size_t>(nranks_));
+  arena_before_.resize(static_cast<std::size_t>(nranks_));
+  for (std::size_t r = 0; r < staged_before_.size(); ++r) {
+    staged_before_[r] = staged_[r].size();
+    arena_before_[r] = arenas_[r][buffer].mark();
+  }
+  errors_.assign(static_cast<std::size_t>(nranks_), nullptr);
   pool_->run(nranks_, [&](int r) {
     const RankGuard guard(r);
     try {
       RankContext ctx(*this, r);
       body(ctx);
     } catch (...) {
-      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      errors_[static_cast<std::size_t>(r)] = std::current_exception();
     }
   });
   trace_deferred_ = false;
   int bad = -1;
   for (int r = 0; r < nranks_; ++r) {
-    if (errors[static_cast<std::size_t>(r)] != nullptr) {
+    if (errors_[static_cast<std::size_t>(r)] != nullptr) {
       bad = r;
       break;
     }
@@ -378,17 +411,23 @@ void Machine::run_bodies_threaded(const std::function<void(RankContext&)>& body)
   // A body threw. The sequential interpreter runs ranks in ascending order,
   // so the lowest failing rank is the one whose exception would have
   // surfaced there, and higher ranks would never have started: restore
-  // their accounting and discard their staged traffic and buffered
+  // their accounting, drop the traffic they posted (records and payload
+  // bytes), reopen the inboxes they drained, and discard their buffered
   // observations before propagating.
   for (int r = bad + 1; r < nranks_; ++r) {
-    clock_[r] = clock_before[r];
-    counters_[r] = counters_before[r];
-    staged_[r].clear();
+    const auto s = static_cast<std::size_t>(r);
+    clock_[s] = clock_before_[s];
+    counters_[s] = counters_before_[s];
+    staged_[s].resize(staged_before_[s]);
+    arenas_[s][buffer].truncate(arena_before_[s]);
+    boxes_[s].drained = false;
   }
   if (tracing) flush_pending_trace(bad + 1);
   if (checker_ != nullptr) checker_->end_deferred(bad + 1);
+  const std::exception_ptr error = errors_[static_cast<std::size_t>(bad)];
+  errors_.assign(errors_.size(), nullptr);
   try {
-    std::rethrow_exception(errors[static_cast<std::size_t>(bad)]);
+    std::rethrow_exception(error);
   } catch (const Conformance::DeferredViolation& v) {
     // Rebuild the sequential report now that the committed transcript is
     // identical to what the sequential interpreter would hold.
@@ -396,8 +435,47 @@ void Machine::run_bodies_threaded(const std::function<void(RankContext&)>& body)
   }
 }
 
-void Machine::step(const std::function<void(RankContext&)>& body,
-                   std::string_view site) {
+void Machine::deliver() {
+  // The previous superstep's inboxes close.
+  for (const int d : touched_) boxes_[static_cast<std::size_t>(d)] = Box{};
+  touched_.clear();
+  // Count each destination's messages and bytes, in (sender rank, program
+  // order), and clear the arena each sender writes next: it holds the
+  // payloads delivered at the previous barrier, whose superstep is over.
+  std::size_t total = 0;
+  const std::size_t next = (deliveries_ + 1) & 1;
+  for (std::size_t s = 0; s < staged_.size(); ++s) {
+    arenas_[s][next].clear();
+    for (const Posted& p : staged_[s]) {
+      Box& box = boxes_[static_cast<std::size_t>(p.to)];
+      if (box.count++ == 0) touched_.push_back(p.to);
+      box.bytes += p.msg.payload.size();
+    }
+    total += staged_[s].size();
+  }
+  std::sort(touched_.begin(), touched_.end());
+  std::uint32_t at = 0;
+  for (const int d : touched_) {
+    Box& box = boxes_[static_cast<std::size_t>(d)];
+    box.begin = at;
+    at += box.count;
+  }
+  // Place the messages, using each box's begin as its fill cursor.
+  delivered_.resize(total);
+  for (std::vector<Posted>& stage : staged_) {
+    for (const Posted& p : stage) {
+      delivered_[boxes_[static_cast<std::size_t>(p.to)].begin++] = p.msg;
+    }
+    stage.clear();
+  }
+  for (const int d : touched_) {
+    Box& box = boxes_[static_cast<std::size_t>(d)];
+    box.begin -= box.count;
+  }
+  ++deliveries_;
+}
+
+void Machine::step(FunctionRef<void(RankContext&)> body, std::string_view site) {
   if (checker_ != nullptr) checker_->on_step_begin(supersteps_, site);
   if (backend_ == Backend::kThreads && nranks_ > 1) {
     run_bodies_threaded(body);
@@ -409,28 +487,20 @@ void Machine::step(const std::function<void(RankContext&)>& body,
   // silently drops its messages.
   if (checker_ != nullptr) checker_->on_barrier(supersteps_);
   // Deliver staged messages for the next superstep, destination-wise in
-  // (sender rank, program order). This merge is the only point where
-  // messages cross ranks, and it runs on the main thread. The inbox map
-  // only grows entries for destinations that actually receive something,
-  // so delivery work is proportional to traffic, not to nranks.
-  inbox_.clear();
-  for (int s = 0; s < nranks_; ++s) {
-    if (staged_[s].empty()) continue;
-    for (Posted& p : staged_[s]) inbox_[p.to].push_back(std::move(p.msg));
-    staged_[s].clear();
-  }
+  // (sender rank, program order). This is the only point where messages
+  // cross ranks, and it runs on the main thread.
+  deliver();
   // Receivers pay the per-byte cost of draining their inbound traffic.
-  // Only ranks with an inbox entry are visited (ascending rank order, the
-  // same order the old dense scan used); ranks without inbound traffic
-  // previously added a cost of exactly 0.0 and recorded no trace span, so
-  // skipping them is bit-identical.
-  for (auto& [r, box] : inbox_) {
-    std::uint64_t inbound = 0;
-    for (const Message& m : box) inbound += m.payload.size();
-    const double cost = static_cast<double>(inbound) * params_.beta;
-    if (trace_ != nullptr && inbound > 0) {
-      trace_->record(r, SpanKind::kRecv, clock_[r], clock_[r] + cost, 0, inbound,
-                     box.size());
+  // Only ranks with inbound messages are visited, in ascending rank order
+  // (the order of a dense scan); a rank without inbound traffic would add
+  // a cost of exactly 0.0 and record no trace span, so skipping it is
+  // bit-identical.
+  for (const int r : touched_) {
+    const Box& box = boxes_[static_cast<std::size_t>(r)];
+    const double cost = static_cast<double>(box.bytes) * params_.beta;
+    if (trace_ != nullptr && box.bytes > 0) {
+      trace_->record(r, SpanKind::kRecv, clock_[r], clock_[r] + cost, 0, box.bytes,
+                     box.count);
     }
     clock_[r] += cost;
   }
@@ -451,7 +521,7 @@ void Machine::step(const std::function<void(RankContext&)>& body,
   ++supersteps_;
 }
 
-double Machine::allreduce_sum(const std::function<double(int)>& value_of_rank,
+double Machine::allreduce_sum(FunctionRef<double(int)> value_of_rank,
                               std::string_view site) {
   reduce_real_.assign(static_cast<std::size_t>(nranks_), 0.0);
   in_allreduce_ = true;
@@ -468,7 +538,7 @@ double Machine::allreduce_sum(const std::function<double(int)>& value_of_rank,
   return total;
 }
 
-double Machine::allreduce_max(const std::function<double(int)>& value_of_rank,
+double Machine::allreduce_max(FunctionRef<double(int)> value_of_rank,
                               std::string_view site) {
   reduce_real_.assign(static_cast<std::size_t>(nranks_),
                       -std::numeric_limits<double>::infinity());
@@ -485,7 +555,7 @@ double Machine::allreduce_max(const std::function<double(int)>& value_of_rank,
   return best;
 }
 
-long long Machine::allreduce_sum_ll(const std::function<long long(int)>& value_of_rank,
+long long Machine::allreduce_sum_ll(FunctionRef<long long(int)> value_of_rank,
                                     std::string_view site) {
   reduce_ll_.assign(static_cast<std::size_t>(nranks_), 0);
   in_allreduce_ = true;
@@ -596,8 +666,13 @@ void Machine::reset() {
   if (metrics_ != nullptr) metrics_->on_reset(clock_, counters_);
   std::fill(clock_.begin(), clock_.end(), 0.0);
   counters_.assign(nranks_, RankCounters{});
-  inbox_.clear();
-  for (auto& box : staged_) box.clear();
+  for (const int d : touched_) boxes_[static_cast<std::size_t>(d)] = Box{};
+  touched_.clear();
+  delivered_.clear();
+  for (auto& stage : staged_) stage.clear();
+  for (auto& pair : arenas_) {
+    for (Arena& arena : pair) arena.clear();
+  }
   for (auto& spans : pending_trace_) spans.clear();
   supersteps_ = 0;
   if (trace_ != nullptr) trace_->on_machine_reset();

@@ -11,6 +11,9 @@ void clean(ptilu::sim::Machine& machine, const ptilu::IdxVec& data) {
     machine.step([&](ptilu::sim::RankContext& ctx) {
       ctx.send_indices((ctx.rank() + 1) % ctx.nranks(), /*tag=*/0, data);
       ctx.send_reals((ctx.rank() + 1) % ctx.nranks(), /*tag=*/1, {});
+      const auto values = ctx.send_in_place<ptilu::real>(0, /*tag=*/2, data.size());
+      (void)values;
+      ctx.send_in_place(0, /*tag=*/3, 16);
     }, "fixture/send");
   }
   machine.step([&](ptilu::sim::RankContext& ctx) {

@@ -1,8 +1,10 @@
 // Memory contract of pilut_factor: the working memory it needs above what
 // was live at entry stays within a fixed multiple of the factors it
 // returns, and the number of allocations it makes does not grow with the
-// problem. A counting global operator new/delete measures both, so this
-// test is its own executable.
+// problem. The distributed solves built on it allocate a fixed handful of
+// blocks per call, however many messages they send. A counting global
+// operator new/delete measures all three, so this test is its own
+// executable.
 //
 // The bounds come from the row-store layout (DESIGN.md §8, "PILUT
 // storage"): every finished row is stored once in per-rank chunked arrays
@@ -24,6 +26,7 @@
 #include "ptilu/graph/graph.hpp"
 #include "ptilu/part/partition.hpp"
 #include "ptilu/pilut/pilut.hpp"
+#include "ptilu/pilut/trisolve_dist.hpp"
 #include "ptilu/sim/machine.hpp"
 #include "ptilu/workloads/grids.hpp"
 #include "ptilu/workloads/torso.hpp"
@@ -166,10 +169,11 @@ TEST(PilutMemory, PeakWorkingMemoryIsBoundedByFactorBytes) {
 }
 
 TEST(PilutMemory, AllocationCountDoesNotGrowWithRows) {
-  // From 60^2 to 120^2 the rows grow 4x; finished rows cost no allocations
-  // of their own, so the count follows the level loop. At p = 4 the
-  // interface rows double and each still owns a few vectors (its reduced
-  // row and L part, its in-edge list), so the count grows more there.
+  // From 60^2 to 120^2 the rows grow 4x; finished rows, and the reduced
+  // rows, L parts and in-edge lists of interface rows, live in chunked
+  // per-rank storage and cost no allocations of their own, so the count
+  // follows the level loop and the chunks. At p = 4 the interface rows
+  // double, so the count grows more there.
   const Csr small = g0(60), large = g0(120);
   for (const int nranks : {4, 16}) {
     const double bound = nranks == 4 ? 2.0 : 1.5;
@@ -182,6 +186,55 @@ TEST(PilutMemory, AllocationCountDoesNotGrowWithRows) {
                 bound * static_cast<double>(s.allocations))
           << label("g0", nranks, backend);
     }
+  }
+}
+
+TEST(PilutMemory, WarmSolvesAllocateIndependentlyOfTheirMessages) {
+  // The message transport reuses its arenas and the supersteps reference
+  // their bodies, so a warm apply or matvec allocates only its own few
+  // arrays (the ghost values and the sweep cursors), not a block per
+  // message or per superstep.
+  constexpr std::int64_t kFewAllocations = 8;
+  constexpr int kRanks = 16;
+  const Csr a = torso();
+  const DistCsr dist =
+      DistCsr::create(a, partition_kway(graph_from_pattern(a), kRanks, {.seed = 1}));
+  const Halo halo = Halo::build(dist);
+  const RealVec b(static_cast<std::size_t>(a.n_rows), 1.0);
+  for (const sim::Backend backend : {sim::Backend::kSequential, sim::Backend::kThreads}) {
+    sim::Machine::Options machine_opts;
+    machine_opts.backend = backend;
+    machine_opts.threads = 4;
+    // The checker and the metrics collector keep records of their own.
+    machine_opts.check = false;
+    machine_opts.metrics = false;
+    sim::Machine machine(kRanks, machine_opts);
+    const PilutResult fact = pilut_factor(machine, dist, {.m = 10, .tau = 1e-4});
+    const DistTriangularSolver solver(fact.factors, fact.schedule);
+    RealVec x(b.size()), y(b.size());
+    // Allocations and messages of one call, after two warm-up calls (the
+    // two arenas of each sender alternate between supersteps).
+    const auto measure_call = [&](const auto& call) {
+      call();
+      call();
+      const std::int64_t count_before = g_count.load();
+      const std::uint64_t messages_before = machine.total_counters().messages_sent;
+      call();
+      return std::pair{g_count.load() - count_before,
+                       machine.total_counters().messages_sent - messages_before};
+    };
+    const auto [apply_allocations, apply_messages] =
+        measure_call([&] { solver.apply(machine, b, x); });
+    const auto [spmv_allocations, spmv_messages] =
+        measure_call([&] { dist_spmv(machine, dist, halo, b, y); });
+    const std::string name = sim::backend_name(backend);
+    std::cout << name << ": apply " << apply_allocations << " allocations, "
+              << apply_messages << " messages; spmv " << spmv_allocations
+              << " allocations, " << spmv_messages << " messages\n";
+    EXPECT_GE(apply_messages, 1000u) << name;
+    EXPECT_LE(apply_allocations, kFewAllocations) << name;
+    EXPECT_GE(spmv_messages, 50u) << name;
+    EXPECT_LE(spmv_allocations, kFewAllocations) << name;
   }
 }
 

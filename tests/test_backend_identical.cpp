@@ -9,6 +9,7 @@
 // machine; correctness never depends on the pool size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -552,6 +553,52 @@ TEST(BackendIdentical, AllreducesCombineInRankOrder) {
     return std::tuple{sum, mx, ll, observe(machine)};
   };
   EXPECT_EQ(run(sequential_opts()), run(threaded_opts()));
+}
+
+TEST(BackendIdentical, ThrowingBodyLeavesTheSequentialState) {
+  // Rank 2 throws midway through a superstep. The sequential backend never
+  // runs ranks 3..5 of that step; the threaded backend runs them and must
+  // roll back their clocks, counters, posted messages (records and payload
+  // bytes) and drained inboxes. Later supersteps then see the same traffic.
+  constexpr int kRanks = 6;
+  using Received = std::tuple<int, int, int, IdxVec>;  // step, from, tag, payload
+  const auto run = [&](sim::Machine::Options opts) {
+    // Unchecked: the checker would report the failing step's drains again
+    // when the next superstep drains (the failing step never reached its
+    // barrier), on either backend.
+    opts.check = false;
+    sim::Machine machine(kRanks, opts);
+    std::vector<std::vector<Received>> log(kRanks);
+    const auto drain = [&](sim::RankContext& ctx, int step) {
+      for (const sim::Message& msg : ctx.recv_all()) {
+        log[ctx.rank()].emplace_back(step, msg.from, msg.tag, sim::decode_indices(msg));
+      }
+    };
+    machine.step([&](sim::RankContext& ctx) {
+      ctx.send_indices((ctx.rank() + 1) % kRanks, 1, {ctx.rank()});
+    }, "throw/first");
+    // The failing step's bodies leave no trace outside the machine: the
+    // machine can roll back only its own state.
+    EXPECT_THROW(machine.step([&](sim::RankContext& ctx) {
+      (void)ctx.recv_all();
+      const std::span<idx> out =
+          ctx.send_in_place<idx>((ctx.rank() + 2) % kRanks, 2, 4096);
+      std::fill(out.begin(), out.end(), 100 + ctx.rank());
+      ctx.charge_flops(10);
+      if (ctx.rank() == 2) throw Error("rank 2 fails");
+    }, "throw/failing"), Error);
+    for (int step = 2; step < 4; ++step) {
+      machine.step([&](sim::RankContext& ctx) {
+        drain(ctx, step);
+        ctx.send_indices((ctx.rank() + 3) % kRanks, step, {200 + ctx.rank()});
+      }, "throw/after");
+    }
+    machine.step([&](sim::RankContext& ctx) { drain(ctx, 4); }, "throw/drain");
+    return std::tuple{log, observe(machine)};
+  };
+  const auto sequential = run(sequential_opts());
+  EXPECT_EQ(sequential, run(threaded_opts()));
+  EXPECT_EQ(sequential, run(threaded_opts(2)));
 }
 
 }  // namespace

@@ -106,6 +106,21 @@ TEST(LintRules, EveryRuleHasFixtureTriple) {
   }
 }
 
+TEST(LintRules, PhaseCoverageSeesInPlaceSends) {
+  // The in-place send is traffic whether or not it names its element type.
+  const std::string text =
+      "void f(ptilu::sim::RankContext& ctx) {\n"
+      "  ctx.send_in_place<double>(0, 1, 4);\n"
+      "  ctx.send_in_place(0, 2, 8);\n"
+      "}\n";
+  const auto findings = lint_source("src/pilut/fake.cpp", text);
+  ASSERT_EQ(findings.size(), 2u);
+  for (std::size_t k = 0; k < findings.size(); ++k) {
+    EXPECT_EQ(findings[k].rule, "spmd-phase-coverage");
+    EXPECT_EQ(findings[k].line, static_cast<int>(k) + 2);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Lexer immunity: banned spellings inside comments / strings / raw strings.
 // ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 // Tests for the simulated distributed-memory machine (BSP cost model).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
 #include "ptilu/sim/machine.hpp"
 
 namespace ptilu::sim {
@@ -197,12 +201,11 @@ TEST(Machine, CollectiveChargesTreeMessages) {
 }
 
 TEST(Machine, RecvAllSecondDrainSeesEmptyInbox) {
-  // recv_all moves the inbox out; a second drain in the same superstep (or
-  // any later one) must see a well-defined empty inbox, not a moved-from
-  // vector. Regression test for the std::exchange in recv_all. Checking is
-  // explicitly off: this test pins the unchecked fallback behavior, while
-  // the conformance checker (test_conformance.cpp) reports the same double
-  // drain as a protocol violation.
+  // A second drain in the same superstep (or any later one) must see an
+  // empty inbox, not the messages again. Checking is explicitly off: this
+  // test pins the unchecked fallback behavior, while the conformance
+  // checker (test_conformance.cpp) reports the same double drain as a
+  // protocol violation.
   Machine m(2, Machine::Options{.check = false});
   m.step([](RankContext& ctx) {
     if (ctx.rank() == 0) ctx.send_indices(1, 7, {1, 2, 3});
@@ -234,6 +237,153 @@ TEST(Machine, ChargeTransferRejectsBadRanks) {
   Machine m(2);
   EXPECT_THROW(m.charge_transfer(0, 5, 10), Error);
   EXPECT_THROW(m.charge_transfer(-1, 1, 10), Error);
+}
+
+// --- Transport contract, on both backends ------------------------------
+
+class Transport : public ::testing::TestWithParam<Backend> {
+ protected:
+  Machine::Options options() const {
+    return Machine::Options{.check = false, .backend = GetParam(), .threads = 4};
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, Transport,
+                         ::testing::Values(Backend::kSequential, Backend::kThreads),
+                         [](const ::testing::TestParamInfo<Backend>& param) {
+                           return std::string(backend_name(param.param));
+                         });
+
+TEST_P(Transport, DeliversBySenderRankThenProgramOrder) {
+  // Each rank's messages go to interleaved destinations; every inbox must
+  // list its messages by sender rank, then in the order they were posted.
+  constexpr int kRanks = 4;
+  constexpr int kSends = 6;
+  Machine m(kRanks, options());
+  m.step([&](RankContext& ctx) {
+    for (int k = 0; k < kSends; ++k) {
+      const int to = (ctx.rank() + k) % kRanks;
+      ctx.send_indices(to, 10 * ctx.rank() + k, {ctx.rank(), k});
+    }
+  });
+  std::vector<std::vector<std::tuple<int, int, IdxVec>>> got(kRanks);
+  m.step([&](RankContext& ctx) {
+    for (const Message& msg : ctx.recv_all()) {
+      got[ctx.rank()].emplace_back(msg.from, msg.tag, decode_indices(msg));
+    }
+  });
+  for (int d = 0; d < kRanks; ++d) {
+    std::vector<std::tuple<int, int, IdxVec>> expected;
+    for (int s = 0; s < kRanks; ++s) {
+      for (int k = 0; k < kSends; ++k) {
+        if ((s + k) % kRanks == d) expected.emplace_back(s, 10 * s + k, IdxVec{s, k});
+      }
+    }
+    EXPECT_EQ(got[d], expected) << "rank " << d;
+  }
+}
+
+TEST_P(Transport, PayloadViewsOutliveTheReceiversOwnLargeSends) {
+  // A delivered payload is a view into its sender's arena. It must stay
+  // intact while the receiver, in the same superstep, posts a message large
+  // enough to grow its own arena several times over.
+  constexpr int kRanks = 4;
+  constexpr std::size_t kLarge = 1 << 18;  // reals: 2 MiB
+  Machine m(kRanks, options());
+  m.step([&](RankContext& ctx) {
+    const int r = ctx.rank();
+    ctx.send_indices((r + 1) % kRanks, 1, {r, 2 * r, 3 * r});
+    ctx.send_reals((r + 1) % kRanks, 2, {0.5 * r});
+  });
+  std::vector<int> intact(kRanks, 0);
+  m.step([&](RankContext& ctx) {
+    const int r = ctx.rank();
+    const std::span<const Message> inbox = ctx.recv_all();
+    const std::span<real> large = ctx.send_in_place<real>((r + 2) % kRanks, 3, kLarge);
+    for (std::size_t i = 0; i < large.size(); ++i) large[i] = static_cast<real>(i);
+    const int from = (r + kRanks - 1) % kRanks;
+    intact[r] = inbox.size() == 2 &&
+                decode_indices(inbox[0]) == IdxVec{from, 2 * from, 3 * from} &&
+                decode_reals(inbox[1]) == RealVec{0.5 * from};
+  });
+  for (int r = 0; r < kRanks; ++r) EXPECT_EQ(intact[r], 1) << "rank " << r;
+  m.step([&](RankContext& ctx) {
+    const std::span<const Message> inbox = ctx.recv_all();
+    ASSERT_EQ(inbox.size(), 1u);
+    const std::span<const real> large = inbox[0].as<real>();
+    ASSERT_EQ(large.size(), kLarge);
+    EXPECT_EQ(large[kLarge - 1], static_cast<real>(kLarge - 1));
+  });
+}
+
+TEST_P(Transport, ZeroByteMessagesAreDeliveredAndCounted) {
+  Machine m(2, options());
+  m.step([](RankContext& ctx) {
+    if (ctx.rank() != 0) return;
+    EXPECT_TRUE(ctx.send_in_place(1, 5, 0).empty());
+    ctx.send_indices(1, 6, {});
+  });
+  EXPECT_EQ(m.counters(0).messages_sent, 2u);
+  EXPECT_EQ(m.counters(0).bytes_sent, 0u);
+  const double two_latencies = 2 * m.params().alpha;
+  EXPECT_GE(m.modeled_time(), two_latencies);
+  m.step([](RankContext& ctx) {
+    const std::span<const Message> inbox = ctx.recv_all();
+    if (ctx.rank() == 0) {
+      EXPECT_TRUE(inbox.empty());
+      return;
+    }
+    ASSERT_EQ(inbox.size(), 2u);
+    EXPECT_EQ(inbox[0].tag, 5);
+    EXPECT_EQ(inbox[1].tag, 6);
+    EXPECT_TRUE(inbox[0].payload.empty());
+    EXPECT_TRUE(inbox[1].payload.empty());
+  });
+}
+
+TEST_P(Transport, CollectiveBetweenMessageSuperstepsKeepsTheInbox) {
+  // collective() counts as a superstep but delivers nothing: messages
+  // delivered before it are still there, payloads intact, after it.
+  Machine m(3, options());
+  m.step([](RankContext& ctx) {
+    if (ctx.rank() == 0) ctx.send_indices(1, 4, {42, 43});
+  });
+  m.collective(8, "test/collective");
+  EXPECT_EQ(m.supersteps(), 2u);
+  m.step([](RankContext& ctx) {
+    const std::span<const Message> inbox = ctx.recv_all();
+    if (ctx.rank() != 1) {
+      EXPECT_TRUE(inbox.empty());
+      return;
+    }
+    ctx.send_indices(2, 5, {7});  // posted while the view is held
+    ASSERT_EQ(inbox.size(), 1u);
+    EXPECT_EQ(inbox[0].from, 0);
+    EXPECT_EQ(decode_indices(inbox[0]), (IdxVec{42, 43}));
+  });
+  m.step([](RankContext& ctx) {
+    const std::span<const Message> inbox = ctx.recv_all();
+    EXPECT_EQ(inbox.size(), ctx.rank() == 2 ? 1u : 0u);
+  });
+}
+
+TEST_P(Transport, ResetDropsStagedAndDeliveredTraffic) {
+  Machine m(3, options());
+  m.step([](RankContext& ctx) { ctx.send_indices((ctx.rank() + 1) % 3, 1, {1}); });
+  // A body that throws after posting leaves traffic staged but undelivered.
+  EXPECT_THROW(m.step([](RankContext& ctx) {
+                 ctx.send_indices((ctx.rank() + 2) % 3, 2, {2});
+                 if (ctx.rank() == 1) throw Error("rank 1 fails");
+               }),
+               Error);
+  m.reset();
+  EXPECT_EQ(m.supersteps(), 0u);
+  EXPECT_EQ(m.total_counters().messages_sent, 0u);
+  for (int step = 0; step < 2; ++step) {
+    m.step([](RankContext& ctx) { EXPECT_TRUE(ctx.recv_all().empty()); });
+  }
+  EXPECT_EQ(m.total_counters().messages_sent, 0u);
+  EXPECT_DOUBLE_EQ(m.rank_time(0), m.rank_time(2));
 }
 
 }  // namespace

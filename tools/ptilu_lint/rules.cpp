@@ -259,7 +259,7 @@ void rule_collective_tag(const std::string& file, const LexedSource& lexed,
 // ---------------------------------------------------------------------------
 
 bool is_comm_name(const Token& t) {
-  return is_ident(t, "send_bytes") || is_ident(t, "send_indices") ||
+  return is_ident(t, "send_in_place") || is_ident(t, "send_indices") ||
          is_ident(t, "send_reals") || is_ident(t, "recv_all");
 }
 
@@ -282,7 +282,9 @@ void rule_phase_coverage(const std::string& file, const LexedSource& lexed,
       phase_depths.push_back(depth);
       continue;
     }
-    if (is_comm_name(toks[i]) && i + 1 < toks.size() && is_punct(toks[i + 1], "(") &&
+    // A call, plain or with template arguments (send_in_place<real>(...)).
+    if (is_comm_name(toks[i]) && i + 1 < toks.size() &&
+        (is_punct(toks[i + 1], "(") || is_punct(toks[i + 1], "<")) &&
         member_access_before(toks, i) && phase_depths.empty()) {
       add_finding(out, lexed, kPhaseCoverage, file, toks[i],
                   toks[i].text +
